@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "arch/config.h"
+#include "report/flags.h"
 #include "report/record.h"
 #include "report/sweep.h"
 #include "tasksel/options.h"
@@ -104,9 +105,14 @@ parseBenchArgs(int argc, char **argv)
             }
             return argv[++i];
         };
-        if (a == "--jobs")
-            o.jobs = unsigned(atoi(val()));
-        else if (a == "--json")
+        if (a == "--jobs") {
+            try {
+                o.jobs = report::parseUnsigned<unsigned>("--jobs", val());
+            } catch (const std::invalid_argument &e) {
+                std::fprintf(stderr, "%s\n", e.what());
+                usage(2);
+            }
+        } else if (a == "--json")
             o.jsonPath = val();
         else if (a == "--csv")
             o.csvPath = val();

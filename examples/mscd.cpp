@@ -50,12 +50,13 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <memory>
 #include <string>
-#include <vector>
+#include <type_traits>
 
 #include "client/endpoint.h"
 #include "obs/taskprof.h"
+#include "report/flags.h"
 #include "report/record.h"
 #include "serve/router.h"
 #include "serve/server.h"
@@ -64,17 +65,14 @@ using namespace msc;
 
 namespace {
 
-serve::Server *g_server = nullptr;
-serve::Router *g_router = nullptr;
+serve::Frontend *g_front = nullptr;
 
 extern "C" void
 onSignal(int)
 {
     // requestStop is async-signal-safe: atomics + close().
-    if (g_server)
-        g_server->requestStop();
-    if (g_router)
-        g_router->requestStop();
+    if (g_front)
+        g_front->requestStop();
 }
 
 int
@@ -118,12 +116,13 @@ main(int argc, char **argv)
 {
     enum class Mode { None, Stdio, Unix, Tcp } mode = Mode::None;
     std::string unix_path;
-    long tcp_port = 0;
+    uint16_t tcp_port = 0;
     bool router = false;
-    std::vector<client::Endpoint> shards;
 
+    // Flags land in the single-daemon config; the router takes the
+    // frontend part of it.
     serve::ServerConfig cfg;
-    unsigned max_inflight = 0;
+    serve::RouterConfig rcfg;
 
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
@@ -135,6 +134,15 @@ main(int argc, char **argv)
                 std::exit(1);
             }
             return argv[++i];
+        };
+        auto number = [](const char *name, const char *v, auto *out) {
+            try {
+                *out = report::parseUnsigned<
+                    std::remove_pointer_t<decltype(out)>>(name, v);
+            } catch (const std::invalid_argument &e) {
+                std::fprintf(stderr, "mscd: %s\n", e.what());
+                std::exit(1);
+            }
         };
         if (a == "--version") {
             return printVersion("mscd");
@@ -149,8 +157,8 @@ main(int argc, char **argv)
             unix_path = v;
         } else if (const char *v1 = arg("--tcp")) {
             mode = Mode::Tcp;
-            tcp_port = atol(v1);
-            if (tcp_port < 1 || tcp_port > 65535) {
+            number("--tcp", v1, &tcp_port);
+            if (tcp_port == 0) {
                 std::fprintf(stderr, "mscd: bad port %s\n", v1);
                 return 1;
             }
@@ -164,25 +172,25 @@ main(int argc, char **argv)
                         "needs its own listener)\n");
                     return 1;
                 }
-                shards.push_back(std::move(ep));
+                rcfg.shards.push_back(std::move(ep));
             } catch (const std::exception &e) {
                 std::fprintf(stderr, "mscd: %s\n", e.what());
                 return 1;
             }
         } else if (const char *v2 = arg("--jobs")) {
-            cfg.dispatch.jobs = unsigned(atoi(v2));
+            number("--jobs", v2, &cfg.dispatch.jobs);
         } else if (const char *v3 = arg("--cache-dir")) {
             cfg.dispatch.session.cacheDir = v3;
         } else if (const char *v4 = arg("--max-frame")) {
-            cfg.maxFrame = uint32_t(atoll(v4));
+            number("--max-frame", v4, &cfg.maxFrame);
         } else if (const char *v8 = arg("--max-inflight")) {
-            max_inflight = unsigned(atoll(v8));
+            number("--max-inflight", v8, &cfg.maxInflight);
         } else if (const char *v5 = arg("--timeout-ms")) {
-            cfg.defaults.budget.wallMs = uint32_t(atoll(v5));
+            number("--timeout-ms", v5, &cfg.defaults.budget.wallMs);
         } else if (const char *v6 = arg("--max-fuel")) {
-            cfg.defaults.budget.maxFuel = uint64_t(atoll(v6));
+            number("--max-fuel", v6, &cfg.defaults.budget.maxFuel);
         } else if (const char *v7 = arg("--max-cycles")) {
-            cfg.defaults.budget.maxSimCycles = uint64_t(atoll(v7));
+            number("--max-cycles", v7, &cfg.defaults.budget.maxSimCycles);
         } else {
             std::fprintf(stderr, "mscd: unknown option %s\n",
                          a.c_str());
@@ -191,12 +199,12 @@ main(int argc, char **argv)
     }
     if (mode == Mode::None)
         return usage();
-    if (router && shards.empty()) {
+    if (router && rcfg.shards.empty()) {
         std::fprintf(stderr,
                      "mscd: --router needs at least one --shard\n");
         return 1;
     }
-    if (!router && !shards.empty()) {
+    if (!router && !rcfg.shards.empty()) {
         std::fprintf(stderr, "mscd: --shard requires --router\n");
         return 1;
     }
@@ -206,51 +214,27 @@ main(int argc, char **argv)
     // tears down only that connection), not SIGPIPE.
     std::signal(SIGPIPE, SIG_IGN);
 
+    std::unique_ptr<serve::Frontend> front;
     if (router) {
-        serve::RouterConfig rcfg;
-        rcfg.shards = std::move(shards);
-        rcfg.defaults = cfg.defaults;
-        rcfg.maxFrame = cfg.maxFrame;
-        rcfg.maxInflight = max_inflight;
-        rcfg.logJson = cfg.logJson;
-
-        serve::Router rt(std::move(rcfg));
-        g_router = &rt;
-        std::signal(SIGINT, onSignal);
-        std::signal(SIGTERM, onSignal);
-
-        switch (mode) {
-          case Mode::Stdio: {
-            serve::FdTransport t(0, 1);
-            rt.serveConnection(t);
-            return 0;
-          }
-          case Mode::Unix:
-            return rt.serveUnix(unix_path);
-          case Mode::Tcp:
-            return rt.serveTcp(uint16_t(tcp_port));
-          case Mode::None:
-            break;
-        }
-        return usage();
+        static_cast<serve::FrontendConfig &>(rcfg) = cfg;
+        front = std::make_unique<serve::Router>(std::move(rcfg));
+    } else {
+        front = std::make_unique<serve::Server>(std::move(cfg));
     }
-
-    cfg.maxInflight = max_inflight;
-    serve::Server server(std::move(cfg));
-    g_server = &server;
+    g_front = front.get();
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);
 
     switch (mode) {
       case Mode::Stdio: {
         serve::FdTransport t(0, 1);
-        server.serveConnection(t);
+        front->serveConnection(t);
         return 0;
       }
       case Mode::Unix:
-        return server.serveUnix(unix_path);
+        return front->serveUnix(unix_path);
       case Mode::Tcp:
-        return server.serveTcp(uint16_t(tcp_port));
+        return front->serveTcp(tcp_port);
       case Mode::None:
         break;
     }

@@ -45,8 +45,7 @@
  *       msc.taskprof attribution profile, print the hot-tasks table
  *       (docs/TRACING.md). --check re-parses the emitted trace and
  *       verifies the span-vs-SimStats accounting invariant.
- *   msctool stats (--connect EP | --unix PATH | --tcp PORT | --stdio)
- *               [--json | --prom]
+ *   msctool stats --connect EP [--json | --prom]
  *       Query a live mscd for its telemetry snapshot via the `stats`
  *       protocol verb (docs/OBSERVABILITY.md): counters, gauges, and
  *       latency histograms as a table, the raw `msc.metrics` JSON
@@ -93,6 +92,7 @@
 #include "obs/taskprof.h"
 #include "pipeline/session.h"
 #include "profile/interpreter.h"
+#include "report/flags.h"
 #include "report/record.h"
 #include "report/sweep.h"
 #include "runtime/budget.h"
@@ -419,7 +419,7 @@ cmdSweep(int argc, char **argv)
             for (const auto &p : splitList(v2))
                 pus.push_back(unsigned(atoi(p.c_str())));
         } else if (const char *v3 = arg("--jobs")) {
-            jobs = unsigned(atoi(v3));
+            jobs = report::parseUnsigned<unsigned>("--jobs", v3);
         } else if (const char *v4 = arg("--json")) {
             json_path = v4;
         } else if (const char *v5 = arg("--csv")) {
@@ -752,11 +752,11 @@ cmdFuzz(int argc, char **argv)
             return argv[++i];
         };
         if (const char *v = arg("--count")) {
-            o.count = uint64_t(atoll(v));
+            o.count = report::parseUnsigned("--count", v);
         } else if (const char *v2 = arg("--seed")) {
-            o.seedBase = uint64_t(atoll(v2));
+            o.seedBase = report::parseUnsigned("--seed", v2);
         } else if (const char *v3 = arg("--jobs")) {
-            o.jobs = unsigned(atoi(v3));
+            o.jobs = report::parseUnsigned<unsigned>("--jobs", v3);
         } else if (const char *v4 = arg("--size")) {
             o.gen.sizeClass = unsigned(atoi(v4));
         } else if (const char *v5 = arg("--max-insts")) {
@@ -859,15 +859,8 @@ cmdStats(int argc, char **argv)
                                          " needs a value");
             return argv[++i];
         };
-        // Legacy spellings desugar onto the endpoint grammar.
-        if (const char *v = arg("--unix")) {
-            remote.spec = std::string("unix:") + v;
-        } else if (const char *v2 = arg("--tcp")) {
-            remote.spec = std::string("tcp:") + v2;
-        } else if (const char *v3 = arg("--connect")) {
-            remote.spec = v3;
-        } else if (a == "--stdio") {
-            remote.spec = "stdio";
+        if (const char *v = arg("--connect")) {
+            remote.spec = v;
         } else if (a == "--json") {
             raw_json = true;
         } else if (a == "--prom") {
@@ -877,9 +870,7 @@ cmdStats(int argc, char **argv)
         }
     }
     if (!remote.enabled())
-        throw std::runtime_error(
-            "stats needs one of --connect ENDPOINT, --unix PATH, "
-            "--tcp PORT, --stdio");
+        throw std::runtime_error("stats needs --connect ENDPOINT");
 
     std::FILE *out = remote.out();
     client::ClientConn conn(remote.endpoint());
@@ -994,8 +985,7 @@ main(int argc, char **argv)
                  "              [--in-order] [--size] [--targets N]\n"
                  "              [--insts N] [--top N] [--phase-times]\n"
                  "              [--check] [--core cycle|event]\n"
-                 "       msctool stats  (--connect EP | --unix PATH |\n"
-                 "              --tcp PORT | --stdio) [--json | --prom]\n"
+                 "       msctool stats  --connect EP [--json | --prom]\n"
                  "       msctool cancel <request-id> --connect EP\n"
                  "       msctool version\n"
                  "\n"

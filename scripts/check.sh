@@ -10,8 +10,10 @@
 # docs/DAEMON.md) gets the same explicit gate: framing/protocol edge
 # cases plus the daemon_smoke end-to-end byte-identity check (which
 # now covers the 4-shard router topology), the src/client unit suite
-# (test_client), and the in-process router suite (test_router), rerun
-# under ASan (threaded dispatcher) and UBSan. The telemetry suite
+# (test_client), the in-process router suite (test_router), and the
+# shared-frontend conformance table and thread-reaping checks run
+# against both server and router (test_frontend), rerun under ASan
+# (threaded dispatcher) and UBSan. The telemetry suite
 # (label `metrics`, docs/OBSERVABILITY.md) gates the same way: the
 # registry unit tests plus the stats-verb conformance and live
 # msctool-stats round trips, rerun under both sanitizers (the metrics
@@ -45,18 +47,20 @@ fi
 run ctest --test-dir build -L robust --output-on-failure
 daemon_count=$(ctest --test-dir build -L daemon -N 2>/dev/null |
     sed -n 's/^Total Tests: //p')
-if [[ -z "$daemon_count" || "$daemon_count" -lt 4 ]]; then
+if [[ -z "$daemon_count" || "$daemon_count" -lt 6 ]]; then
     echo "error: daemon label matches ${daemon_count:-0} tests" \
-         "(expected >= 4: protocol, client, router, smoke) —" \
+         "(expected >= 6: protocol, client, router, frontend," \
+         "smoke, bench smoke) —" \
          "check tests/CMakeLists.txt labels" >&2
     exit 1
 fi
 run ctest --test-dir build -L daemon --output-on-failure
 metrics_count=$(ctest --test-dir build -L metrics -N 2>/dev/null |
     sed -n 's/^Total Tests: //p')
-if [[ -z "$metrics_count" || "$metrics_count" -lt 2 ]]; then
+if [[ -z "$metrics_count" || "$metrics_count" -lt 5 ]]; then
     echo "error: metrics label matches ${metrics_count:-0} tests" \
-         "(expected >= 2) — check tests/CMakeLists.txt labels" >&2
+         "(expected >= 5: protocol, registry, router, frontend," \
+         "smoke) — check tests/CMakeLists.txt labels" >&2
     exit 1
 fi
 run ctest --test-dir build -L metrics --output-on-failure

@@ -228,35 +228,6 @@ Dispatcher::submit(const report::RunSpec &spec,
     return fut;
 }
 
-std::shared_ptr<runtime::CancelToken>
-Dispatcher::registerRequest(const std::string &id)
-{
-    std::lock_guard<std::mutex> lock(_mu);
-    auto [it, inserted] = _requests.emplace(id, nullptr);
-    if (!inserted)
-        return nullptr;
-    it->second = std::make_shared<runtime::CancelToken>();
-    return it->second;
-}
-
-void
-Dispatcher::unregisterRequest(const std::string &id)
-{
-    std::lock_guard<std::mutex> lock(_mu);
-    _requests.erase(id);
-}
-
-bool
-Dispatcher::cancelRequest(const std::string &id)
-{
-    std::lock_guard<std::mutex> lock(_mu);
-    auto it = _requests.find(id);
-    if (it == _requests.end())
-        return false;
-    it->second->requestCancel();
-    return true;
-}
-
 DispatchStats
 Dispatcher::stats() const
 {

@@ -36,7 +36,6 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -133,20 +132,6 @@ class Dispatcher
            const runtime::CancelToken *cancel,
            const std::string &rid = {});
 
-    /// @name Cancellation registry (request id -> token).
-    /// @{
-    /** Registers @p id; returns its fresh token, or nullptr when the
-     *  id is already in flight (the server rejects the duplicate). */
-    std::shared_ptr<runtime::CancelToken>
-    registerRequest(const std::string &id);
-
-    void unregisterRequest(const std::string &id);
-
-    /** Cancels the in-flight request @p id; false when unknown (never
-     *  registered, already completed, or already unregistered). */
-    bool cancelRequest(const std::string &id);
-    /// @}
-
     /** The shared session pool. */
     pipeline::SessionPool &pool() { return _pool; }
 
@@ -188,8 +173,6 @@ class Dispatcher
     std::vector<std::thread> _workers;
 
     std::unordered_map<uint64_t, InFlight> _inflight;
-    std::map<std::string, std::shared_ptr<runtime::CancelToken>>
-        _requests;
     DispatchStats _stats;
 };
 

@@ -69,6 +69,51 @@ bindTcp(uint16_t port, const char *who)
     return fd;
 }
 
+void
+ThreadSet::spawn(std::function<void()> fn)
+{
+    std::vector<std::thread> done;
+    {
+        std::lock_guard<std::mutex> lock(_mu);
+        done.swap(_done);
+    }
+    // Threads in `done` have left fn() and released _mu on their way
+    // out, so these joins return at once.
+    for (auto &th : done)
+        th.join();
+
+    std::lock_guard<std::mutex> lock(_mu);
+    auto self = _running.emplace(_running.end());
+    try {
+        // The new thread files itself under _mu, which is held until
+        // its std::thread is stored in its slot.
+        *self = std::thread([this, self, fn = std::move(fn)]() mutable {
+            fn();
+            fn = nullptr;  // captures die before the thread counts as done
+            std::lock_guard<std::mutex> lk(_mu);
+            _done.push_back(std::move(*self));
+            _running.erase(self);
+            _idle.notify_all();
+        });
+    } catch (...) {
+        _running.erase(self);
+        throw;
+    }
+}
+
+void
+ThreadSet::joinAll()
+{
+    std::vector<std::thread> done;
+    {
+        std::unique_lock<std::mutex> lk(_mu);
+        _idle.wait(lk, [&] { return _running.empty(); });
+        done.swap(_done);
+    }
+    for (auto &th : done)
+        th.join();
+}
+
 int
 AcceptLoop::run(int listen_fd,
                 const std::function<void(int fd)> &handler)
@@ -82,7 +127,7 @@ AcceptLoop::run(int listen_fd,
             ::close(fd);
         return 0;
     }
-    std::vector<std::thread> conns;
+    ThreadSet conns;
     while (!_stop.load()) {
         int c = ::accept(listen_fd, nullptr, nullptr);
         if (c < 0) {
@@ -90,15 +135,14 @@ AcceptLoop::run(int listen_fd,
                 continue;
             break;  // requestStop closed the listener (or hard error)
         }
-        conns.emplace_back([&handler, c] { handler(c); });
+        conns.spawn([&handler, c] { handler(c); });
     }
     // Whoever wins the exchange closes — requestStop() may already
     // have claimed (and closed) the descriptor.
     int fd = _listenFd.exchange(-1);
     if (fd >= 0)
         ::close(fd);
-    for (auto &th : conns)
-        th.join();
+    conns.joinAll();
     return 0;
 }
 

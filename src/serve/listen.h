@@ -1,16 +1,19 @@
 /**
  * @file
- * Shared socket-listener plumbing for mscd front-ends.
+ * Socket-listener and thread plumbing under serve::Frontend.
  *
- * Both daemon shapes — the single-process Server and the shard-mode
- * Router — accept connections the same way: bind a Unix or loopback
- * TCP listening socket, accept in a loop, serve each connection on
- * its own thread, and stop asynchronously (signal-safe) by flagging +
- * closing the listener. This file is that shape, factored once:
+ * The one connection frontend (frontend.h) serves the single daemon
+ * and the shard-mode router alike. It accepts connections through
+ * this file and runs both its connection threads and its request
+ * threads in a ThreadSet:
  *
  *  - bindUnix/bindTcp create ready-to-accept listening sockets
  *    (bindTcp sets SO_REUSEADDR so an immediate rebind after a
  *    restart does not flake on TIME_WAIT);
+ *  - ThreadSet runs one thread per connection or per request and
+ *    joins each one soon after it finishes, so a long-lived listener
+ *    or connection holds thread stacks only for work still in flight,
+ *    not for everything it ever served;
  *  - AcceptLoop owns the stop handshake: run() accepts until
  *    requestStop() closes the descriptor out from under it, then
  *    joins every connection thread before returning.
@@ -19,9 +22,14 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <list>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <vector>
 
 namespace msc {
 namespace serve {
@@ -34,6 +42,36 @@ int bindUnix(const std::string &path, const char *who);
 /** Binds and listens on 127.0.0.1:@p port with SO_REUSEADDR.
  *  Returns the listening fd, or -1 with a diagnostic on stderr. */
 int bindTcp(uint16_t port, const char *who);
+
+/**
+ * Threads that are joined as they finish rather than when their owner
+ * stops. A finished thread files itself as done and the next spawn()
+ * joins it, so the set holds the threads still running plus at most
+ * those that finished since the last spawn. The destructor waits for
+ * and joins every thread.
+ */
+class ThreadSet
+{
+  public:
+    ThreadSet() = default;
+    ~ThreadSet() { joinAll(); }
+
+    ThreadSet(const ThreadSet &) = delete;
+    ThreadSet &operator=(const ThreadSet &) = delete;
+
+    /** Joins the threads that have finished, then runs @p fn on a new
+     *  thread. */
+    void spawn(std::function<void()> fn);
+
+    /** Waits for every running thread to finish and joins them all. */
+    void joinAll();
+
+  private:
+    std::mutex _mu;
+    std::condition_variable _idle;
+    std::list<std::thread> _running;
+    std::vector<std::thread> _done;
+};
 
 /**
  * The accept-until-stopped loop. One instance serves one listener at

@@ -88,11 +88,13 @@ class Router::ShardLink
      *  runtime::StageError (ErrorKind::Io) when the shard cannot be
      *  reached (connect retry with backoff exhausted). */
     std::future<CellOutcome>
-    forward(const std::string &cell_id, const std::string &payload)
+    forward(const std::string &cell_id, const std::string &payload,
+            const Call *owner)
     {
         std::lock_guard<std::mutex> lock(_mu);
         ensureConnectedLocked();
         auto pc = std::make_shared<Pending>();
+        pc->owner = owner;
         std::future<CellOutcome> fut = pc->prom.get_future();
         _pending.emplace(cell_id, pc);
         try {
@@ -104,6 +106,18 @@ class Router::ShardLink
         }
         _cells->inc();
         return fut;
+    }
+
+    /** Ids of @p owner's cells still awaiting their terminal frame. */
+    std::vector<std::string>
+    pendingOf(const Call *owner) const
+    {
+        std::lock_guard<std::mutex> lock(_mu);
+        std::vector<std::string> ids;
+        for (const auto &[id, pc] : _pending)
+            if (pc->owner == owner)
+                ids.push_back(id);
+        return ids;
     }
 
     /** Best-effort cancel relay for a cell in flight on this shard
@@ -142,6 +156,7 @@ class Router::ShardLink
   private:
     struct Pending
     {
+        const Call *owner = nullptr;  ///< The client request it serves.
         std::promise<CellOutcome> prom;
         report::Json run;
         bool haveRun = false;
@@ -322,59 +337,24 @@ class Router::ShardLink
 };
 
 Router::Router(RouterConfig cfg)
-    : _cfg(std::move(cfg)), _log(_cfg.logJson)
+    : Frontend(cfg, "router", "mscd-router", "router"),
+      _cfg(std::move(cfg))
 {
-    registerMetrics();
+    obs::MetricsRegistry &m = metrics();
+    _cellsForwarded = &m.counter("router.cells.forwarded");
+    _cellsFailed = &m.counter("router.cells.failed");
+    _cancelsForwarded = &m.counter("router.cancels.forwarded");
     for (size_t i = 0; i < _cfg.shards.size(); ++i)
         _links.push_back(std::make_unique<ShardLink>(
-            unsigned(i), _cfg.shards[i], _cfg, _metrics, _log));
+            unsigned(i), _cfg.shards[i], _cfg, m, log()));
 }
 
 Router::~Router() = default;
 
-void
-Router::registerMetrics()
+std::string
+Router::nextId(char tag)
 {
-    _framesIn = &_metrics.counter("router.frames.in");
-    _framesOut = &_metrics.counter("router.frames.out");
-    _reqMalformed = &_metrics.counter("router.requests.malformed");
-    _reqBusy = &_metrics.counter("router.requests.busy");
-    _connAccepted = &_metrics.counter("router.connections.accepted");
-    _connClosed = &_metrics.counter("router.connections.closed");
-    _connErrors = &_metrics.counter("router.connections.errors");
-    _cellsForwarded = &_metrics.counter("router.cells.forwarded");
-    _cellsFailed = &_metrics.counter("router.cells.failed");
-    _cancelsForwarded =
-        &_metrics.counter("router.cancels.forwarded");
-    _requestsInflight = &_metrics.gauge("router.requests.inflight");
-
-    static constexpr RequestKind verbs[] = {
-        RequestKind::Run, RequestKind::Sweep, RequestKind::Trace,
-        RequestKind::Cancel, RequestKind::Stats};
-    for (RequestKind k : verbs)
-        _verbRequests[size_t(k)] = &_metrics.counter(
-            std::string("router.requests.") + verbName(k));
-}
-
-void
-Router::sendFrame(Conn &conn, const report::Json &frame)
-{
-    std::string payload = frame.dump();
-    std::lock_guard<std::mutex> lock(conn.mu);
-    writeFrame(conn.t, payload);
-    _framesOut->inc();
-}
-
-void
-Router::sendError(Conn &conn, const std::string &id,
-                  runtime::ErrorKind kind, const std::string &stage,
-                  const std::string &detail)
-{
-    runtime::StageErrorInfo info;
-    info.kind = kind;
-    info.stage = stage;
-    info.detail = detail;
-    sendFrame(conn, errorFrame(id, info));
+    return tag + std::to_string(_cellSeq.fetch_add(1) + 1);
 }
 
 unsigned
@@ -396,22 +376,6 @@ Router::shardOf(const report::RunSpec &spec)
         // just spreads the load.
         return unsigned(std::hash<std::string>{}(spec.workload) % n);
     }
-}
-
-std::shared_ptr<Router::RouterRequest>
-Router::registerRequest(const std::string &id)
-{
-    std::lock_guard<std::mutex> lock(_reqMu);
-    auto [it, fresh] =
-        _requests.emplace(id, std::make_shared<RouterRequest>());
-    return fresh ? it->second : nullptr;
-}
-
-void
-Router::unregisterRequest(const std::string &id)
-{
-    std::lock_guard<std::mutex> lock(_reqMu);
-    _requests.erase(id);
 }
 
 namespace {
@@ -443,43 +407,34 @@ forwardRequest(const report::RunSpec &spec, const std::string &cell_id,
     return b;
 }
 
-void
-trackCell(Router::RouterRequest &rr, const std::string &cell_id,
-          unsigned shard)
-{
-    std::lock_guard<std::mutex> lock(rr.mu);
-    rr.outstanding.emplace_back(cell_id, shard);
-}
-
-void
-untrackCell(Router::RouterRequest &rr, const std::string &cell_id)
-{
-    std::lock_guard<std::mutex> lock(rr.mu);
-    for (auto it = rr.outstanding.begin();
-         it != rr.outstanding.end(); ++it) {
-        if (it->first == cell_id) {
-            rr.outstanding.erase(it);
-            return;
-        }
-    }
-}
-
 } // anonymous namespace
 
+std::future<CellOutcome>
+Router::forwardCell(Call &call, unsigned shard, const std::string &cell_id,
+                    const std::string &payload)
+{
+    std::future<CellOutcome> fut =
+        _links[shard]->forward(cell_id, payload, &call);
+    _cellsForwarded->inc();
+    if (call.token.cancelled()) {
+        _links[shard]->sendCancel(nextId('x'), cell_id);
+        _cancelsForwarded->inc();
+    }
+    return fut;
+}
+
 void
-Router::runForward(Conn &conn, const Request &req,
-                   const std::shared_ptr<RouterRequest> &rr,
-                   const std::string &rid)
+Router::runForward(Call &call)
 {
     struct Slot
     {
         unsigned shard = 0;
-        std::string cellId;
         std::future<CellOutcome> fut;
         bool forwarded = false;
         report::Json localRun;  // non-null: resolved without a shard
     };
 
+    const Request &req = call.req;
     size_t n = req.specs.size();
     std::vector<Slot> slots(n);
 
@@ -490,30 +445,29 @@ Router::runForward(Conn &conn, const Request &req,
         const report::RunSpec &spec = req.specs[i];
         Slot &s = slots[i];
         s.shard = shardOf(spec);
-        if (rr->cancelled.load()) {
+        if (call.token.cancelled()) {
             s.localRun = report::runToJson(errorRecord(
                 spec, std::make_exception_ptr(runtime::StageError(
                           runtime::ErrorKind::Cancelled, "router",
                           "request cancelled before dispatch"))));
             continue;
         }
-        s.cellId = "c" + std::to_string(_cellSeq.fetch_add(1) + 1);
+        std::string cellId = nextId('c');
         std::string payload =
-            forwardRequest(spec, s.cellId, false, false).payload();
+            forwardRequest(spec, cellId, false, false).payload();
         try {
-            s.fut = _links[s.shard]->forward(s.cellId, payload);
+            s.fut = forwardCell(call, s.shard, cellId, payload);
             s.forwarded = true;
-            _cellsForwarded->inc();
-            trackCell(*rr, s.cellId, s.shard);
         } catch (const runtime::StageError &e) {
             _cellsFailed->inc();
             s.localRun = report::runToJson(
                 errorRecord(spec, std::make_exception_ptr(e)));
         }
     }
+    call.dispatched(n);
 
     // Stream in grid order regardless of completion order — the same
-    // determinism contract as the single daemon's reader loop.
+    // determinism contract as the single daemon.
     std::vector<std::string> statuses;
     statuses.reserve(n);
     std::vector<uint64_t> shardCells(_links.size(), 0);
@@ -524,7 +478,6 @@ Router::runForward(Conn &conn, const Request &req,
             run = std::move(s.localRun);
         } else {
             CellOutcome out = s.fut.get();
-            untrackCell(*rr, s.cellId);
             if (out.ok) {
                 run = std::move(out.run);
             } else {
@@ -541,8 +494,8 @@ Router::runForward(Conn &conn, const Request &req,
                 ? status->asString()
                 : std::string("error"));
         shardCells[s.shard] += 1;
-        sendFrame(conn, cellFrame(req.id, i, n, std::move(run),
-                                  int(s.shard)));
+        call.send(cellFrame(req.id, i, n, std::move(run),
+                            int(s.shard)));
     }
 
     uint64_t computed = 0, hits = 0, disk = 0, dedup = 0;
@@ -558,267 +511,59 @@ Router::runForward(Conn &conn, const Request &req,
     cache["computed"] = computed;
     cache["hits"] = hits;
     cache["disk_hits"] = disk;
-    sendFrame(conn, routedSummaryFrame(req.id, statuses, cache, dedup,
-                                       shardCells));
-    if (_log.enabled()) {
-        size_t failed = 0;
-        for (const auto &st : statuses)
-            failed += st != "ok";
-        report::Json f = report::Json::object();
-        f["rid"] = rid;
-        f["cells"] = uint64_t(n);
-        f["failed"] = uint64_t(failed);
-        _log.event("request.done", std::move(f));
-    }
+    call.send(routedSummaryFrame(req.id, statuses, cache, dedup,
+                                 shardCells));
+    size_t failed = 0;
+    for (const auto &st : statuses)
+        failed += st != "ok";
+    call.done["cells"] = uint64_t(n);
+    call.done["failed"] = uint64_t(failed);
 }
 
 void
-Router::runTraceForward(Conn &conn, const Request &req,
-                        const std::shared_ptr<RouterRequest> &rr)
+Router::runTraceForward(Call &call)
 {
-    const report::RunSpec &spec = req.specs.at(0);
+    const report::RunSpec &spec = call.req.specs.at(0);
     unsigned shard = shardOf(spec);
-    std::string cellId =
-        "c" + std::to_string(_cellSeq.fetch_add(1) + 1);
+    std::string cellId = nextId('c');
     std::string payload =
-        forwardRequest(spec, cellId, true, req.includeTrace)
+        forwardRequest(spec, cellId, true, call.req.includeTrace)
             .payload();
 
     CellOutcome out;
     try {
-        std::future<CellOutcome> fut =
-            _links[shard]->forward(cellId, payload);
-        _cellsForwarded->inc();
-        trackCell(*rr, cellId, shard);
-        out = fut.get();
-        untrackCell(*rr, cellId);
-    } catch (const runtime::StageError &e) {
+        out = forwardCell(call, shard, cellId, payload).get();
+    } catch (const runtime::StageError &) {
         _cellsFailed->inc();
-        sendFrame(conn, errorFrame(req.id, e.info()));
-        return;
+        throw;
     }
     if (!out.ok) {
         _cellsFailed->inc();
-        sendFrame(conn, errorFrame(req.id, out.error));
-        return;
+        throw runtime::StageError(out.error);
     }
     // Relay the shard's result frame verbatim under the client's id.
-    out.result["id"] = req.id;
-    sendFrame(conn, out.result);
+    out.result["id"] = call.req.id;
+    call.send(out.result);
 }
 
 void
-Router::handleCancel(Conn &conn, const Request &req)
+Router::execute(Call &call)
 {
-    std::shared_ptr<RouterRequest> rr;
-    {
-        std::lock_guard<std::mutex> lock(_reqMu);
-        auto it = _requests.find(req.target);
-        if (it != _requests.end())
-            rr = it->second;
-    }
-    if (rr) {
-        rr->cancelled.store(true);
-        std::vector<std::pair<std::string, unsigned>> outstanding;
-        {
-            std::lock_guard<std::mutex> lock(rr->mu);
-            outstanding = rr->outstanding;
-        }
-        for (const auto &[cellId, shard] : outstanding) {
-            _links[shard]->sendCancel(
-                "x" + std::to_string(_cellSeq.fetch_add(1) + 1),
-                cellId);
+    if (call.req.kind == RequestKind::Trace)
+        runTraceForward(call);
+    else
+        runForward(call);
+}
+
+void
+Router::cancel(Call &call)
+{
+    for (const auto &link : _links) {
+        for (const std::string &cellId : link->pendingOf(&call)) {
+            link->sendCancel(nextId('x'), cellId);
             _cancelsForwarded->inc();
         }
     }
-    sendFrame(conn,
-              cancelResultFrame(req.id, req.target, rr != nullptr));
-}
-
-void
-Router::serveConnection(Transport &t)
-{
-    Conn conn{t, _connSeq.fetch_add(1) + 1};
-    _connAccepted->inc();
-    if (_log.enabled()) {
-        report::Json f = report::Json::object();
-        f["conn"] = conn.id;
-        _log.event("conn.open", std::move(f));
-    }
-
-    std::vector<std::thread> inflight;
-
-    while (true) {
-        FrameResult fr = readFrame(t, _cfg.maxFrame);
-        if (fr.status == FrameStatus::Eof)
-            break;
-        if (fr.status == FrameStatus::Truncated) {
-            try {
-                sendError(conn, "", runtime::ErrorKind::InvalidInput,
-                          "protocol",
-                          "truncated frame: stream ended inside a "
-                          "frame");
-            } catch (...) {
-            }
-            break;
-        }
-        if (fr.status == FrameStatus::Oversize) {
-            sendError(conn, "", runtime::ErrorKind::InvalidInput,
-                      "protocol",
-                      "frame length " + std::to_string(fr.declared) +
-                          " exceeds maximum " +
-                          std::to_string(_cfg.maxFrame));
-            continue;
-        }
-        _framesIn->inc();
-
-        Request req;
-        try {
-            req = parseRequest(fr.payload, _cfg.defaults);
-        } catch (const runtime::StageError &e) {
-            _reqMalformed->inc();
-            sendFrame(conn, errorFrame(extractRequestId(fr.payload),
-                                       e.info()));
-            continue;
-        }
-
-        std::string rid =
-            "r" + std::to_string(_reqSeq.fetch_add(1) + 1);
-        _verbRequests[size_t(req.kind)]->inc();
-        if (_log.enabled()) {
-            report::Json f = report::Json::object();
-            f["conn"] = conn.id;
-            f["rid"] = rid;
-            f["req"] = req.id;
-            f["verb"] = verbName(req.kind);
-            if (!req.specs.empty())
-                f["cells"] = uint64_t(req.specs.size());
-            _log.event("request.start", std::move(f));
-        }
-
-        if (req.kind == RequestKind::Cancel) {
-            handleCancel(conn, req);
-            continue;
-        }
-        if (req.kind == RequestKind::Stats) {
-            sendFrame(conn,
-                      req.statsFormat == StatsFormat::Prometheus
-                          ? statsResultFramePrometheus(
-                                req.id, _metrics.toPrometheus())
-                          : statsResultFrame(req.id,
-                                             _metrics.toJson()));
-            continue;
-        }
-
-        // Backpressure: the ServerConfig::maxInflight contract,
-        // enforced at the router so a saturated shard fleet refuses
-        // (never queues unboundedly, never drops) excess requests.
-        if (_cfg.maxInflight &&
-            conn.active.load() >= _cfg.maxInflight) {
-            _reqBusy->inc();
-            sendError(conn, req.id, runtime::ErrorKind::Busy,
-                      "server",
-                      "connection has " +
-                          std::to_string(conn.active.load()) +
-                          " requests in flight (bound " +
-                          std::to_string(_cfg.maxInflight) +
-                          "); retry after a terminal frame");
-            continue;
-        }
-
-        auto rr = registerRequest(req.id);
-        if (!rr) {
-            sendError(conn, req.id, runtime::ErrorKind::InvalidInput,
-                      "protocol",
-                      "duplicate request id: \"" + req.id +
-                          "\" is already in flight");
-            continue;
-        }
-        _requestsInflight->add(1);
-        conn.active.fetch_add(1);
-        inflight.emplace_back([this, &conn, req = std::move(req), rr,
-                               rid] {
-            try {
-                if (req.kind == RequestKind::Trace)
-                    runTraceForward(conn, req, rr);
-                else
-                    runForward(conn, req, rr, rid);
-            } catch (const runtime::StageError &e) {
-                try {
-                    sendFrame(conn, errorFrame(req.id, e.info()));
-                } catch (...) {
-                }
-            } catch (const std::exception &e) {
-                try {
-                    sendError(conn, req.id,
-                              runtime::ErrorKind::Internal, "router",
-                              e.what());
-                } catch (...) {
-                }
-            }
-            unregisterRequest(req.id);
-            _requestsInflight->add(-1);
-            conn.active.fetch_sub(1);
-        });
-    }
-
-    for (auto &th : inflight)
-        th.join();
-
-    _connClosed->inc();
-    if (_log.enabled()) {
-        report::Json f = report::Json::object();
-        f["conn"] = conn.id;
-        _log.event("conn.close", std::move(f));
-    }
-}
-
-int
-Router::serveUnix(const std::string &path)
-{
-    int fd = bindUnix(path, "mscd-router");
-    if (fd < 0)
-        return 1;
-    int rc = _accept.run(fd, [this](int c) {
-        FdTransport t(c, c);
-        try {
-            serveConnection(t);
-        } catch (const std::exception &e) {
-            _connErrors->inc();
-            std::fprintf(stderr,
-                         "mscd-router: connection error: %s\n",
-                         e.what());
-        }
-        ::close(c);
-    });
-    ::unlink(path.c_str());
-    return rc;
-}
-
-int
-Router::serveTcp(uint16_t port)
-{
-    int fd = bindTcp(port, "mscd-router");
-    if (fd < 0)
-        return 1;
-    return _accept.run(fd, [this](int c) {
-        FdTransport t(c, c);
-        try {
-            serveConnection(t);
-        } catch (const std::exception &e) {
-            _connErrors->inc();
-            std::fprintf(stderr,
-                         "mscd-router: connection error: %s\n",
-                         e.what());
-        }
-        ::close(c);
-    });
-}
-
-void
-Router::requestStop()
-{
-    _accept.requestStop();
 }
 
 } // namespace serve

@@ -26,56 +26,45 @@
  * cannot be reached (connect retry with backoff exhausted) or dies
  * mid-sweep fails only the cells assigned to it — each becomes an
  * `io` error record, the sweep completes `partial` with exit code 3,
- * and the other shards' cells are unaffected. Connection-level
- * backpressure (ServerConfig::maxInflight semantics) refuses pooled
- * requests past the bound with structured `busy` error frames.
+ * and the other shards' cells are unaffected.
  *
- * Telemetry: the router owns its own MetricsRegistry (`router.*`
- * names, per-shard `router.shard.N.*` — docs/OBSERVABILITY.md); its
- * `stats` verb serves that registry, while each shard's `stats` verb
- * still serves the shard's own.
+ * Everything a client connection sees besides forwarding — framing
+ * errors, backpressure, inline `cancel`/`stats`, the request-id
+ * registry, logs and per-verb telemetry — is the same serve::Frontend
+ * the single daemon runs (frontend.h), with metrics under the
+ * `router.` prefix plus per-shard `router.shard.N.*`
+ * (docs/OBSERVABILITY.md). The router's `stats` verb serves its own
+ * registry, while each shard's `stats` verb still serves the shard's
+ * own. A `cancel` sets the request's token, which stops cells not yet
+ * forwarded, and is relayed to the shards holding its pending cells.
  */
 
 #pragma once
 
 #include <atomic>
-#include <map>
+#include <future>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "client/endpoint.h"
-#include "obs/metrics.h"
-#include "obs/slog.h"
 #include "pipeline/pool.h"
-#include "serve/frame.h"
-#include "serve/listen.h"
-#include "serve/protocol.h"
+#include "serve/frontend.h"
 
 namespace msc {
 namespace serve {
 
-struct RouterConfig
+struct CellOutcome;
+
+/** Frontend fields apply to the client side; maxInflight has the
+ *  ServerConfig semantics, and the budget defaults are propagated
+ *  explicitly to shards — a shard's own defaults never leak into
+ *  routed cells. Shard links always use the protocol's default
+ *  frame cap. */
+struct RouterConfig : FrontendConfig
 {
     /** Downstream shard daemons, in shard-index order. */
     std::vector<client::Endpoint> shards;
-
-    /** Per-request defaults (budget) merged during parsing, then
-     *  propagated explicitly to shards — a shard's own defaults never
-     *  leak into routed cells. */
-    RequestDefaults defaults;
-
-    /** Inbound frame-size cap (client side; shard links always use
-     *  the protocol default). */
-    uint32_t maxFrame = DEFAULT_MAX_FRAME;
-
-    /** Per-connection pooled-request bound; 0 = unlimited (same
-     *  semantics as ServerConfig::maxInflight). */
-    unsigned maxInflight = 0;
-
-    /** Structured JSON request logs on stderr (docs/OBSERVABILITY.md). */
-    bool logJson = false;
 
     /** Connect retry policy per shard: up to @p connectAttempts
      *  attempts, sleeping attempt * connectBackoffMs between them.
@@ -85,64 +74,26 @@ struct RouterConfig
     unsigned connectBackoffMs = 20;
 };
 
-class Router
+/** The shard-mode router: a Frontend whose backend forwards cells to
+ *  shard daemons and reassembles their responses. */
+class Router final : public Frontend
 {
   public:
     explicit Router(RouterConfig cfg);
 
     /** Joins every shard link's reader thread. */
-    ~Router();
-
-    Router(const Router &) = delete;
-    Router &operator=(const Router &) = delete;
-
-    /** Serves one client connection until end-of-stream; blocking.
-     *  Safe to call from multiple threads (one per connection). */
-    void serveConnection(Transport &t);
-
-    /// @name Listener front-ends (serve/listen.h shapes).
-    /// @{
-    int serveUnix(const std::string &path);
-    int serveTcp(uint16_t port);
-    void requestStop();
-    /// @}
+    ~Router() override;
 
     size_t shardCount() const { return _links.size(); }
-
-    /** The router's own telemetry registry (what its `stats` verb
-     *  snapshots). */
-    obs::MetricsRegistry &metrics() { return _metrics; }
-
-    /** Cancellation bookkeeping for one pooled client request:
-     *  cells currently in flight on shards, so a `cancel` verb can be
-     *  fanned out to exactly the shards holding them. */
-    struct RouterRequest
-    {
-        std::atomic<bool> cancelled{false};
-        std::mutex mu;
-        /** router-minted cell id -> shard index. */
-        std::vector<std::pair<std::string, unsigned>> outstanding;
-    };
 
   private:
     class ShardLink;
 
-    /** One client connection's shared write end + backpressure state
-     *  (the Server::Conn shape). */
-    struct Conn
-    {
-        Conn(Transport &tr, uint64_t n) : t(tr), id(n) {}
-        Transport &t;
-        uint64_t id;
-        std::mutex mu;
-        std::atomic<unsigned> active{0};
-    };
+    void execute(Call &call) override;
 
-    void registerMetrics();
-    void sendFrame(Conn &conn, const report::Json &frame);
-    void sendError(Conn &conn, const std::string &id,
-                   runtime::ErrorKind kind, const std::string &stage,
-                   const std::string &detail);
+    /** Relays the cancel to every shard holding one of @p call's
+     *  cells. */
+    void cancel(Call &call) override;
 
     /** Shard index for @p spec: Simulate stageKey % N (budget
      *  excluded — artifacts are budget-independent, so budget
@@ -151,36 +102,25 @@ class Router
      *  name hash; every shard reports the identical error record. */
     unsigned shardOf(const report::RunSpec &spec);
 
-    void runForward(Conn &conn, const Request &req,
-                    const std::shared_ptr<RouterRequest> &rr,
-                    const std::string &rid);
-    void runTraceForward(Conn &conn, const Request &req,
-                         const std::shared_ptr<RouterRequest> &rr);
-    void handleCancel(Conn &conn, const Request &req);
+    std::string nextId(char tag);
 
-    std::shared_ptr<RouterRequest>
-    registerRequest(const std::string &id);
-    void unregisterRequest(const std::string &id);
+    /** Hands one cell of @p call to shard @p shard. Relays the cancel
+     *  itself when the call was cancelled after the caller checked
+     *  the token but before the cell was pending on the link (the
+     *  cancel hook could not see it then). */
+    std::future<CellOutcome> forwardCell(Call &call, unsigned shard,
+                                         const std::string &cell_id,
+                                         const std::string &payload);
+
+    void runForward(Call &call);
+    void runTraceForward(Call &call);
 
     RouterConfig _cfg;
-    obs::MetricsRegistry _metrics;
-    obs::JsonLogger _log;
 
-    obs::Counter *_framesIn = nullptr;
-    obs::Counter *_framesOut = nullptr;
-    obs::Counter *_reqMalformed = nullptr;
-    obs::Counter *_reqBusy = nullptr;
-    obs::Counter *_connAccepted = nullptr;
-    obs::Counter *_connClosed = nullptr;
-    obs::Counter *_connErrors = nullptr;
-    obs::Counter *_verbRequests[5] = {};
     obs::Counter *_cellsForwarded = nullptr;
     obs::Counter *_cellsFailed = nullptr;
     obs::Counter *_cancelsForwarded = nullptr;
-    obs::Gauge *_requestsInflight = nullptr;
 
-    std::atomic<uint64_t> _reqSeq{0};
-    std::atomic<uint64_t> _connSeq{0};
     std::atomic<uint64_t> _cellSeq{0};
 
     /** Key-only pool: Sessions here just build + print the workload
@@ -189,11 +129,6 @@ class Router
     pipeline::SessionPool _keys;
 
     std::vector<std::unique_ptr<ShardLink>> _links;
-
-    std::mutex _reqMu;
-    std::map<std::string, std::shared_ptr<RouterRequest>> _requests;
-
-    AcceptLoop _accept;
 };
 
 } // namespace serve

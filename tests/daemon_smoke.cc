@@ -21,12 +21,14 @@
  *     summary with the same exit_code/status — and the same bytes;
  *  5. lifecycle: `mscd --unix` serves a connection over a real
  *     socket, shuts down cleanly on SIGTERM, and unlinks its socket;
- *  6. telemetry: `msctool stats --stdio` queried mid-connection
- *     against the live daemon returns a `msc.metrics` document whose
+ *  6. telemetry: `msctool stats --connect stdio` queried
+ *     mid-connection against the live daemon returns a `msc.metrics` document whose
  *     request counters match exactly the work this test performed,
- *     and `msctool stats --unix` round-trips over the socket;
+ *     and `msctool stats --connect unix:SOCK` round-trips over the
+ *     socket;
  *  7. versioning: `mscd --version` and `msctool version` exit 0 and
- *     advertise the msc.metrics schema;
+ *     advertise the msc.metrics schema; garbage numeric flag values
+ *     (`mscd --jobs x`, `msctool fuzz --count x`) exit 1;
  *  8. sharding (the PR acceptance path, docs/DAEMON.md#sharding): a
  *     `mscd --router` fronting four shard daemons serves the
  *     Figure-5 sweep byte-identically to a single `mscd --stdio`
@@ -242,7 +244,7 @@ statsOverStdio(Scratch &scratch, const std::string &msctool, Child &d)
 {
     std::string out;
     CHECK(runToolOverStdio(scratch,
-                           {msctool, "stats", "--stdio", "--json"}, d,
+                           {msctool, "stats", "--connect", "stdio", "--json"}, d,
                            &out) == 0);
     return out;
 }
@@ -347,6 +349,13 @@ main(int argc, char **argv)
         v = runCapture(scratch, {msctool, "version"}, &rc);
         CHECK(rc == 0);
         CHECK(v.find("msc.metrics") != std::string::npos);
+
+        // Garbage numeric flag values are usage errors (exit 1), not
+        // a silent 0 meaning "all cores" or "no seeds".
+        runCapture(scratch, {mscd, "--stdio", "--jobs", "x"}, &rc);
+        CHECK(rc == 1);
+        runCapture(scratch, {msctool, "fuzz", "--count", "x"}, &rc);
+        CHECK(rc == 1);
 
         // ---- 1. Byte-identity against msctool sweep --json.
         std::string ref = scratch.path("ref.json");
@@ -481,7 +490,8 @@ main(int argc, char **argv)
         // ---- 6b. msctool stats over the Unix socket: a second
         //          connection querying the same daemon's registry.
         std::string stats_out = runCapture(
-            scratch, {msctool, "stats", "--unix", sock, "--json"},
+            scratch,
+            {msctool, "stats", "--connect", "unix:" + sock, "--json"},
             &rc);
         CHECK(rc == 0);
         report::Json um = report::Json::parse(stats_out);
