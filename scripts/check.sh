@@ -68,9 +68,20 @@ run ctest --test-dir build -L smoke --output-on-failure
 
 # Stage 1b: the two-core performance contract (docs/PERFORMANCE.md).
 # test_eventcore proves cycle/event byte-identity across programs,
-# workloads, the fuzz corpus, and Governor budget trips; the snapshot
-# gate proves the event core actually pays for itself (byte-identical
-# bench_smoke output AND not slower than the cycle core).
+# workloads, the fuzz corpus, and Governor budget trips;
+# test_sim_golden pins absolute SimStats so a drift in a component
+# both cores share (ARB, ring, caches) cannot pass unseen; the
+# snapshot gate proves the event core actually pays for itself
+# (byte-identical bench_smoke output AND not slower than the cycle
+# core).
+eventcore_count=$(ctest --test-dir build -L eventcore -N 2>/dev/null |
+    sed -n 's/^Total Tests: //p')
+if [[ -z "$eventcore_count" || "$eventcore_count" -lt 2 ]]; then
+    echo "error: eventcore label matches ${eventcore_count:-0} tests" \
+         "(expected >= 2: core equivalence, golden stats) —" \
+         "check tests/CMakeLists.txt labels" >&2
+    exit 1
+fi
 run ctest --test-dir build -L eventcore --output-on-failure
 run scripts/bench_snapshot.sh --verify
 

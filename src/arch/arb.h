@@ -18,7 +18,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -29,20 +28,31 @@ namespace arch {
 using TaskSeq = uint64_t;
 constexpr TaskSeq NO_TASK = ~0ull;
 
-/** ARB model over word addresses. */
+/**
+ * ARB model over word addresses.
+ *
+ * Storage is flat and reused: one open-addressing table maps each
+ * tracked address to a block of inline access records (at most one
+ * per in-flight task, so a block holds `max_tasks` records and only
+ * grows when a caller keeps more tasks in flight), and a sorted small
+ * vector indexes the addresses each task first touched. After warm-up
+ * no access, retire or squash allocates.
+ */
 class Arb
 {
   public:
     /**
      * @param total_entries total tracked addresses (entries/PU x PUs).
+     * @param max_tasks expected in-flight tasks (the PU count): the
+     *        initial per-address record capacity.
      */
-    explicit Arb(unsigned total_entries) : _capacity(total_entries) {}
+    explicit Arb(unsigned total_entries, unsigned max_tasks = 4);
 
     /** True when no free entry remains for a new address. */
-    bool full() const { return _entries.size() >= _capacity; }
+    bool full() const { return _size >= _capacity; }
 
     /** True when @p addr is already tracked (no new entry needed). */
-    bool tracked(uint64_t addr) const { return _entries.count(addr) != 0; }
+    bool tracked(uint64_t addr) const { return find(addr) != NONE; }
 
     /**
      * Records a load by @p task to @p addr. The version the load
@@ -73,32 +83,44 @@ class Arb
     /** Discards all accesses of tasks <= @p task (retire commit). */
     void retireUpTo(TaskSeq task);
 
-    size_t entriesInUse() const { return _entries.size(); }
+    size_t entriesInUse() const { return _size; }
 
   private:
     struct Access
     {
         TaskSeq task;
-        bool loaded = false;
-        bool stored = false;
         /** Version the first load observed: youngest storing task
          *  <= task at load time; NO_TASK means architectural. */
-        TaskSeq loadSrc = NO_TASK;
+        TaskSeq loadSrc;
         /** PC of the first load (for sync-table training). */
-        uint64_t loadPc = 0;
+        uint64_t loadPc;
+        bool loaded;
+        bool stored;
     };
 
-    /** Per-address access list, ordered by task sequence. */
-    std::unordered_map<uint64_t, std::vector<Access>> _entries;
+    static constexpr uint32_t NONE = ~0u;
 
-    /**
-     * Index: addresses first touched by each in-flight task, so
-     * retireUpTo/squashFrom visit only the affected per-address lists
-     * instead of sweeping the whole table per retired task. Pure
-     * lookup acceleration: _entries evolves identically with or
-     * without it.
-     */
-    std::map<TaskSeq, std::vector<uint64_t>> _byTask;
+    /** One open-addressing bucket: a tracked address and the block
+     *  holding its access records (NONE: empty bucket). */
+    struct Bucket
+    {
+        uint64_t addr = 0;
+        uint32_t block = NONE;
+    };
+
+    size_t home(uint64_t addr) const;
+    uint32_t find(uint64_t addr) const;
+    /** Block of @p addr's records, creating the entry if absent. */
+    uint32_t blockOf(uint64_t addr);
+    /** Drops the entry in bucket @p b (backward-shift deletion). */
+    void erase(size_t b);
+    void growTable();
+    /** Appends an access of @p task to @p addr's @p block. */
+    Access &append(uint32_t block, TaskSeq task, uint64_t addr);
+    Access *records(uint32_t block) { return &_records[block * _blockCap]; }
+
+    /** Notes that @p task first touched @p addr. */
+    void index(TaskSeq task, uint64_t addr);
 
     /** Removes every access with task <=/>= @p task (per @p retire)
      *  from the lists of the indexed @p addrs, dropping emptied
@@ -107,6 +129,29 @@ class Arb
                      bool retire);
 
     unsigned _capacity;
+    size_t _size = 0;               ///< Tracked addresses.
+
+    std::vector<Bucket> _table;     ///< Power-of-two, <= half full.
+    unsigned _shift;                ///< 64 - log2(_table.size()).
+    std::vector<Access> _records;   ///< Blocks of _blockCap records.
+    std::vector<uint32_t> _counts;  ///< Records in use, per block.
+    std::vector<uint32_t> _freeBlocks;
+    uint32_t _blockCap;
+
+    /**
+     * Index: addresses first touched by each in-flight task, sorted by
+     * task, so retireUpTo/squashFrom visit only the affected access
+     * lists instead of sweeping the table. The first _liveTasks
+     * entries are live; the rest are spares whose (empty) address
+     * lists keep their capacity for the next task.
+     */
+    struct TaskAddrs
+    {
+        TaskSeq task;
+        std::vector<uint64_t> addrs;
+    };
+    std::vector<TaskAddrs> _byTask;
+    size_t _liveTasks = 0;
 };
 
 /** Memory-dependence synchronization table. */

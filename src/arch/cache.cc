@@ -5,11 +5,54 @@
 namespace msc {
 namespace arch {
 
+struct Cache::LineArray
+{
+    std::vector<Line> lines;
+    uint32_t epoch = 0;
+};
+
+namespace {
+
+/** Idle line arrays of this thread, at most one per geometry (line
+ *  count). */
+thread_local std::vector<std::unique_ptr<Cache::LineArray>> idleArrays;
+
+} // anonymous namespace
+
 Cache::Cache(const CacheConfig &cfg) : _cfg(cfg)
 {
     _numSets = std::max<size_t>(
         1, cfg.sizeBytes / (uint64_t(cfg.blockBytes) * cfg.assoc));
-    _lines.resize(_numSets * cfg.assoc);
+    size_t n = _numSets * cfg.assoc;
+    for (size_t i = 0; i < idleArrays.size(); ++i) {
+        if (idleArrays[i]->lines.size() == n) {
+            _array = std::move(idleArrays[i]);
+            idleArrays.erase(idleArrays.begin() + ptrdiff_t(i));
+            break;
+        }
+    }
+    if (!_array) {
+        _array = std::make_unique<LineArray>();
+        _array->lines.resize(n);
+    }
+    // Invalidate every line at once. On wrap-around the stamps are
+    // rewritten so no line from 2^32 uses ago can look current.
+    if (++_array->epoch == 0) {
+        for (Line &l : _array->lines)
+            l.epoch = 0;
+        _array->epoch = 1;
+    }
+    _lines = _array->lines.data();
+    _epoch = _array->epoch;
+}
+
+Cache::~Cache()
+{
+    size_t n = _array->lines.size();
+    for (const auto &a : idleArrays)
+        if (a->lines.size() == n)
+            return;  // One idle array per geometry: free this one.
+    idleArrays.push_back(std::move(_array));
 }
 
 bool
@@ -23,19 +66,22 @@ Cache::access(uint64_t addr)
 
     ++_tick;
     for (unsigned w = 0; w < _cfg.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
+        if (base[w].epoch == _epoch && base[w].tag == tag) {
             base[w].lru = _tick;
             return true;
         }
     }
     ++_misses;
 
-    // Fill the LRU way.
+    // Fill the LRU way; a stale line is invalid with LRU stamp 0.
+    auto lru = [&](const Line &l) {
+        return l.epoch == _epoch ? l.lru : 0;
+    };
     Line *victim = base;
     for (unsigned w = 1; w < _cfg.assoc; ++w)
-        if (!base[w].valid || base[w].lru < victim->lru)
+        if (base[w].epoch != _epoch || lru(base[w]) < lru(*victim))
             victim = &base[w];
-    victim->valid = true;
+    victim->epoch = _epoch;
     victim->tag = tag;
     victim->lru = _tick;
     return false;
@@ -49,7 +95,7 @@ Cache::probe(uint64_t addr) const
     uint64_t tag = block / _numSets;
     const Line *base = &_lines[set * _cfg.assoc];
     for (unsigned w = 0; w < _cfg.assoc; ++w)
-        if (base[w].valid && base[w].tag == tag)
+        if (base[w].epoch == _epoch && base[w].tag == tag)
             return true;
     return false;
 }

@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "arch/config.h"
@@ -18,11 +19,25 @@
 namespace msc {
 namespace arch {
 
-/** LRU set-associative cache model (tags only). */
+/**
+ * LRU set-associative cache model (tags only).
+ *
+ * The line array is borrowed from a per-thread pool that keeps at
+ * most one idle array per geometry, so back-to-back simulations on a
+ * thread reuse their arrays instead of rebuilding them (the 4 MB L2
+ * alone is 3 MB of lines). A borrowed array is reset in O(1) by
+ * bumping its epoch: a line is valid only while its epoch equals the
+ * array's, and a stale line reads as invalid with LRU stamp 0, which
+ * is exactly the state of a freshly built line, so every hit, miss
+ * and victim choice matches a cache built from scratch.
+ */
 class Cache
 {
   public:
     explicit Cache(const CacheConfig &cfg);
+    ~Cache();
+    Cache(const Cache &) = delete;
+    Cache &operator=(const Cache &) = delete;
 
     /**
      * Looks up @p addr; fills the line on miss.
@@ -46,17 +61,22 @@ class Cache
         return unsigned((addr / _cfg.blockBytes) % _cfg.banks);
     }
 
+    /** Pooled line storage (defined in cache.cc). */
+    struct LineArray;
+
   private:
     struct Line
     {
         uint64_t tag = ~0ull;
         uint64_t lru = 0;
-        bool valid = false;
+        uint32_t epoch = 0;     ///< Valid iff equal to the array's.
     };
 
     CacheConfig _cfg;
     size_t _numSets;
-    std::vector<Line> _lines;   ///< numSets * assoc.
+    std::unique_ptr<LineArray> _array;  ///< numSets * assoc lines.
+    Line *_lines;
+    uint32_t _epoch;
     uint64_t _tick = 0;
     uint64_t _accesses = 0;
     uint64_t _misses = 0;

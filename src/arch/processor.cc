@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -44,16 +43,28 @@ struct Instance
     uint32_t doneCount = 0;
     uint32_t retPtr = 0;        ///< Contiguous done prefix (ROB free).
     uint32_t firstUnissued = 0;
-    std::vector<uint8_t> issued, done;
-    std::vector<uint64_t> readyTime;
-    std::vector<int> deps;
-    std::vector<RegSet> extMask;
-    std::vector<uint64_t> doneCycle;
-    std::vector<std::vector<uint32_t>> waiters;
+    /** Per dynamic instruction, one record so the issue scan reads
+     *  one cache line per candidate. */
+    struct Slot
+    {
+        uint64_t readyTime = 0;
+        uint64_t doneCycle = 0;
+        RegSet extMask = 0;     ///< Forwarded sources still missing.
+        int deps = 0;           ///< Local producers not yet done.
+        uint32_t waiters = NO_WAITER;   ///< Head of the waiter list.
+        bool issued = false;
+        bool done = false;
+    };
+    static constexpr uint32_t NO_WAITER = ~0u;
+    std::vector<Slot> slots;
+    /** Waiter lists of all slots: (consumer index, next node). Wake-up
+     *  order is immaterial (a decrement and a max per consumer). */
+    std::vector<std::pair<uint32_t, uint32_t>> waitNodes;
     std::vector<uint32_t> inFlight;     ///< Issued, not yet done.
     std::array<int, NUM_REGS> lastWriter;
     std::array<uint64_t, NUM_REGS> regAvail;
     std::array<std::vector<uint32_t>, NUM_REGS> extWaiters;
+    RegSet extWaitRegs = 0;     ///< Registers with extWaiters entries.
     uint64_t icacheBlockedUntil = 0;
     int branchBlockedOn = -1;
     uint64_t curFetchLine = INF;
@@ -64,8 +75,11 @@ struct Instance
     RegSet createMask = 0;
     RegSet forwardedRegs = 0;
     RegSet pendingRelease = 0;
-    std::array<std::vector<uint64_t>, NUM_REGS> fwdArr;
+    /** Arrival cycle per (register, PU), NUM_REGS x numPUs; the row
+     *  of register r is meaningful only once forwardedRegs has r. */
+    std::vector<uint64_t> fwdArr;
     std::array<std::vector<uint64_t>, NUM_REGS> subs;  ///< Consumer seqs.
+    RegSet subsRegs = 0;        ///< Registers with subs entries.
     /// @}
 
     /// @name Status.
@@ -119,7 +133,9 @@ struct Instance
      * Restores a pooled instance to freshly-constructed state while
      * keeping container capacities (the event core's allocation-free
      * reuse path). Every field above must be covered here — a missed
-     * one diverges the cores, which test_eventcore catches.
+     * one diverges the cores, which test_eventcore catches. The cost
+     * scales with what the task touched: per-register lists are
+     * cleared only where their dirty masks say they were filled.
      */
     void
     resetForReuse()
@@ -130,15 +146,15 @@ struct Instance
         bogus = false;
         assignCycle = fetchStart = 0;
         dispatched = doneCount = retPtr = firstUnissued = 0;
-        // issued/done/readyTime/deps/extMask/doneCycle/waiters and
-        // lastWriter/regAvail are (re)assigned at instance creation
-        // for non-bogus instances and never read for bogus ones.
+        // slots/waitNodes and lastWriter/regAvail are (re)assigned at
+        // instance creation for non-bogus instances and never read for
+        // bogus ones; fwdArr rows are only read under forwardedRegs.
         inFlight.clear();
-        for (unsigned r = 0; r < NUM_REGS; ++r) {
-            extWaiters[r].clear();
-            fwdArr[r].clear();
-            subs[r].clear();
-        }
+        for (RegSet m = extWaitRegs; m; m &= m - 1)
+            extWaiters[__builtin_ctzll(m)].clear();
+        for (RegSet m = subsRegs; m; m &= m - 1)
+            subs[__builtin_ctzll(m)].clear();
+        extWaitRegs = subsRegs = 0;
         icacheBlockedUntil = 0;
         branchBlockedOn = -1;
         curFetchLine = ~0ull;
@@ -152,6 +168,75 @@ struct Instance
         lastKind = CycleKind::Useful;
         pendingStorePc.clear();
     }
+};
+
+/**
+ * The in-flight task window, oldest first: a fixed circular buffer of
+ * numPUs slots (assignment never exceeds one task per PU), so
+ * assignment, retire and squash never allocate.
+ */
+class Window
+{
+  public:
+    using Ptr = std::unique_ptr<Instance>;
+
+    explicit Window(unsigned capacity) : _slots(capacity) {}
+
+    size_t size() const { return _size; }
+    bool empty() const { return _size == 0; }
+
+    Ptr &operator[](size_t i) { return _slots[wrap(_head + i)]; }
+    const Ptr &operator[](size_t i) const { return _slots[wrap(_head + i)]; }
+    Ptr &front() { return (*this)[0]; }
+    const Ptr &front() const { return (*this)[0]; }
+    Ptr &back() { return (*this)[_size - 1]; }
+
+    void
+    push_back(Ptr p)
+    {
+        assert(_size < _slots.size());
+        _slots[wrap(_head + _size++)] = std::move(p);
+    }
+
+    void
+    pop_front()
+    {
+        front().reset();
+        _head = wrap(_head + 1);
+        --_size;
+    }
+
+    void
+    pop_back()
+    {
+        back().reset();
+        --_size;
+    }
+
+    template <typename W, typename P>
+    struct Iter
+    {
+        W *w;
+        size_t i;
+        P &operator*() const { return (*w)[i]; }
+        Iter &operator++() { ++i; return *this; }
+        bool operator!=(const Iter &o) const { return i != o.i; }
+    };
+    Iter<Window, Ptr> begin() { return {this, 0}; }
+    Iter<Window, Ptr> end() { return {this, _size}; }
+    Iter<const Window, const Ptr> begin() const { return {this, 0}; }
+    Iter<const Window, const Ptr> end() const { return {this, _size}; }
+
+  private:
+    size_t
+    wrap(size_t i) const
+    {
+        return i >= _slots.size() ? i - _slots.size() : i;
+    }
+
+    std::vector<Ptr> _slots;
+    size_t _head = 0;
+    size_t _size = 0;
 };
 
 /** A pending memory-dependence violation found during the cycle. */
@@ -171,13 +256,14 @@ class Simulator
               runtime::Governor *gov)
         : _part(part), _tasks(tasks), _cfg(cfg), _gov(gov),
           _hier(cfg),
-          _arb(cfg.arbEntriesPerPU * cfg.numPUs),
+          _arb(cfg.arbEntriesPerPU * cfg.numPUs, cfg.numPUs),
           _sync(cfg.syncTableSize),
           _ring(cfg.numPUs, cfg.ringBandwidth),
           _gshare(cfg.gshareHistBits, cfg.gshareTableSize),
           _taskPred(cfg.taskPredHistBits, cfg.taskPredTableSize,
                     cfg.maxTargets),
           _ras(cfg.rasDepth),
+          _window(cfg.numPUs),
           _puBusy(cfg.numPUs, false),
           _sink(sink),
           _arbStallMark(cfg.numPUs, 0)
@@ -245,7 +331,7 @@ class Simulator
     TaskPredictor _taskPred;
     ReturnAddressStack _ras;
 
-    std::deque<std::unique_ptr<Instance>> _window;
+    Window _window;
     std::vector<bool> _puBusy;
     uint64_t _now = 0;
     uint64_t _nextSeq = 0;
@@ -256,34 +342,38 @@ class Simulator
     /**
      * Per-dynIdx sorted (store pc, count) lists for Instance::
      * pendingStorePc, computed on first assignment of each dynamic
-     * task and reused on re-assignment after squashes.
+     * task and reused on re-assignment after squashes. The lists sit
+     * back to back in one pool; _storePcSpan[dynIdx] is the list's
+     * [begin, end) in it (begin == NOT_DONE until computed).
      */
-    std::vector<std::vector<std::pair<uint64_t, int>>> _storePcs;
-    std::vector<char> _storePcsDone;
+    std::vector<std::pair<uint64_t, int>> _storePcPool;
+    std::vector<std::pair<size_t, size_t>> _storePcSpan;
+    static constexpr size_t NOT_DONE = ~size_t(0);
 
-    const std::vector<std::pair<uint64_t, int>> &
-    storePcsOf(uint64_t dyn_idx)
+    void
+    loadStorePcs(Instance &in)
     {
-        if (_storePcsDone.empty()) {
-            _storePcs.resize(_tasks.size());
-            _storePcsDone.assign(_tasks.size(), 0);
-        }
-        if (!_storePcsDone[dyn_idx]) {
-            auto &list = _storePcs[dyn_idx];
-            for (const DynInst &di : _tasks[dyn_idx].insts) {
+        if (_storePcSpan.empty())
+            _storePcSpan.assign(_tasks.size(), {NOT_DONE, 0});
+        auto &span = _storePcSpan[in.dynIdx];
+        if (span.first == NOT_DONE) {
+            size_t begin = _storePcPool.size();
+            for (const DynInst &di : _tasks[in.dynIdx].insts) {
                 if (_part.prog->inst(di.ref).isStore()) {
                     auto it = std::lower_bound(
-                        list.begin(), list.end(),
-                        std::make_pair(di.pc, 0));
-                    if (it != list.end() && it->first == di.pc)
+                        _storePcPool.begin() + ptrdiff_t(begin),
+                        _storePcPool.end(), std::make_pair(di.pc, 0));
+                    if (it != _storePcPool.end() && it->first == di.pc)
                         it->second++;
                     else
-                        list.insert(it, {di.pc, 1});
+                        _storePcPool.insert(it, {di.pc, 1});
                 }
             }
-            _storePcsDone[dyn_idx] = 1;
+            span = {begin, _storePcPool.size()};
         }
-        return _storePcs[dyn_idx];
+        in.pendingStorePc.assign(
+            _storePcPool.begin() + ptrdiff_t(span.first),
+            _storePcPool.begin() + ptrdiff_t(span.second));
     }
 
     /// @name Observation (null sink == tracing disabled).
@@ -315,10 +405,14 @@ class Simulator
     uint64_t _arbCap = 0;               ///< arbOverflowStalls increments.
 
     /// Allocation-free busy path: retired/squashed instances return to
-    /// the pool and are reused (resetForReuse), and ring-arrival
-    /// buffers use member scratch instead of fresh vectors.
+    /// the pool and are reused (resetForReuse, which costs what the
+    /// task touched). The window, ARB, ring slots and per-task store
+    /// lists are fixed or grow-only buffers and the cache line arrays
+    /// are reused across simulations, so after warm-up nothing on the
+    /// per-cycle path allocates. The reference core builds a fresh
+    /// Instance per assignment, which is what proves resetForReuse
+    /// complete.
     std::vector<std::unique_ptr<Instance>> _pool;
-    std::vector<uint64_t> _arrScratch;
     /// @}
 
     /**
@@ -408,18 +502,19 @@ Simulator<EV>::initRegAvail(Instance &in)
         return;
     // Youngest older in-flight producer per register.
     RegSet resolved = 0;
-    for (auto it = _window.rbegin(); it != _window.rend(); ++it) {
-        Instance &p = **it;
+    for (size_t k = _window.size(); k-- > 0;) {
+        Instance &p = *_window[k];
         RegSet mask = p.createMask & ~resolved;
         if (!mask)
             continue;
         for (RegSet m = mask; m; m &= m - 1) {
             unsigned r = unsigned(__builtin_ctzll(m));
-            if (!p.fwdArr[r].empty()) {
-                in.regAvail[r] = p.fwdArr[r][in.pu];
+            if (p.forwardedRegs & cfg::regBit(RegId(r))) {
+                in.regAvail[r] = p.fwdArr[r * _cfg.numPUs + in.pu];
             } else {
                 in.regAvail[r] = INF;
                 p.subs[r].push_back(in.seq);
+                p.subsRegs |= cfg::regBit(RegId(r));
             }
         }
         resolved |= mask;
@@ -434,21 +529,19 @@ Simulator<EV>::broadcastReg(Instance &in, RegId r, uint64_t when)
         return;
     _progress = true;
     in.forwardedRegs |= cfg::regBit(r);
-    // Event core: reuse one arrival buffer (broadcast assigns it).
-    // The delivery loop below must read from fwdArr, not the buffer:
-    // deliver() can re-enter broadcastReg (chained release), which
-    // would clobber a shared scratch. fwdArr[r] holds the same values
-    // and no nested call touches this (instance, reg) pair again.
-    std::vector<uint64_t> arrivalsRef;
-    std::vector<uint64_t> &arrivals = EV ? _arrScratch : arrivalsRef;
-    _ring.broadcast(in.pu, when, arrivals);
-    in.fwdArr[r].assign(arrivals.begin(), arrivals.end());
+    // The ring writes the arrivals straight into this register's
+    // fwdArr row. deliver() can re-enter broadcastReg (chained
+    // release), but only for other (instance, reg) pairs, and fwdArr
+    // is sized once per assignment, so the row stays put.
+    uint64_t *arrivals = &in.fwdArr[size_t(r) * _cfg.numPUs];
+    _ring.broadcast(in.pu, when, _now, arrivals);
     for (uint64_t cseq : in.subs[r]) {
         Instance *c = bySeq(cseq);
         if (c)
-            deliver(*c, r, in.fwdArr[r][c->pu]);
+            deliver(*c, r, arrivals[c->pu]);
     }
     in.subs[r].clear();
+    in.subsRegs &= ~cfg::regBit(r);
 }
 
 template <bool EV>
@@ -460,12 +553,14 @@ Simulator<EV>::deliver(Instance &in, RegId r, uint64_t when)
     _progress = true;
     in.regAvail[r] = when;
     for (uint32_t idx : in.extWaiters[r]) {
-        if (!in.issued[idx]) {
-            in.readyTime[idx] = std::max(in.readyTime[idx], when);
-            in.extMask[idx] &= ~cfg::regBit(r);
+        Instance::Slot &sl = in.slots[idx];
+        if (!sl.issued) {
+            sl.readyTime = std::max(sl.readyTime, when);
+            sl.extMask &= ~cfg::regBit(r);
         }
     }
     in.extWaiters[r].clear();
+    in.extWaitRegs &= ~cfg::regBit(r);
     // Chained release: a completed task passing the value through.
     if ((in.pendingRelease & cfg::regBit(r)) && in.completed) {
         in.pendingRelease &= ~cfg::regBit(r);
@@ -482,7 +577,7 @@ Simulator<EV>::dispatchInsts(Instance &in)
     while (fetched < _cfg.fetchWidth && in.dispatched < dt.insts.size()) {
         if (_now < in.icacheBlockedUntil)
             break;
-        if (in.branchBlockedOn >= 0 && !in.done[in.branchBlockedOn])
+        if (in.branchBlockedOn >= 0 && !in.slots[in.branchBlockedOn].done)
             break;
         // ROB capacity.
         if (in.dispatched - in.retPtr >= _cfg.robSize)
@@ -538,20 +633,23 @@ Simulator<EV>::dispatchInsts(Instance &in)
         for (RegId r : *srcsP) {
             int w = in.lastWriter[r];
             if (w >= 0) {
-                if (!in.done[w]) {
-                    in.waiters[w].push_back(i);
-                    in.deps[i]++;
+                if (!in.slots[w].done) {
+                    in.waitNodes.push_back({i, in.slots[w].waiters});
+                    in.slots[w].waiters =
+                        uint32_t(in.waitNodes.size() - 1);
+                    in.slots[i].deps++;
                 } else {
-                    ready = std::max(ready, in.doneCycle[w]);
+                    ready = std::max(ready, in.slots[w].doneCycle);
                 }
             } else if (in.regAvail[r] == INF) {
-                in.extMask[i] |= cfg::regBit(r);
+                in.slots[i].extMask |= cfg::regBit(r);
                 in.extWaiters[r].push_back(i);
+                in.extWaitRegs |= cfg::regBit(r);
             } else {
                 ready = std::max(ready, in.regAvail[r]);
             }
         }
-        in.readyTime[i] = ready;
+        in.slots[i].readyTime = ready;
 
         for (RegId r : *dstsP)
             if (r != REG_ZERO)
@@ -573,11 +671,11 @@ Simulator<EV>::tryIssue(Instance &in, uint32_t i,
     const DynInst &di = dt.insts[i];
     const Instruction &inst = _part.prog->inst(di.ref);
 
-    if (in.extMask[i]) {
+    if (in.slots[i].extMask) {
         ext_wait = true;
         return false;
     }
-    if (in.deps[i] > 0 || in.readyTime[i] > _now)
+    if (in.slots[i].deps > 0 || in.slots[i].readyTime > _now)
         return false;
 
     unsigned fu = unsigned(inst.info().fu);
@@ -646,8 +744,8 @@ Simulator<EV>::tryIssue(Instance &in, uint32_t i,
 
     if (fu != unsigned(FuClass::None))
         fu_free[fu]--;
-    in.issued[i] = 1;
-    in.doneCycle[i] = wb;
+    in.slots[i].issued = true;
+    in.slots[i].doneCycle = wb;
     in.inFlight.push_back(i);
     _progress = true;
     return true;
@@ -659,7 +757,7 @@ Simulator<EV>::writebacks(Instance &in)
 {
     for (size_t k = 0; k < in.inFlight.size();) {
         uint32_t i = in.inFlight[k];
-        if (in.doneCycle[i] > _now) {
+        if (in.slots[i].doneCycle > _now) {
             ++k;
             continue;
         }
@@ -667,28 +765,30 @@ Simulator<EV>::writebacks(Instance &in)
         in.inFlight.pop_back();
 
         _progress = true;
-        in.done[i] = 1;
+        in.slots[i].done = true;
         in.doneCount++;
 
         // Wake local dependents.
-        for (uint32_t w : in.waiters[i]) {
-            in.deps[w]--;
-            in.readyTime[w] = std::max(in.readyTime[w], in.doneCycle[i]);
+        for (uint32_t node = in.slots[i].waiters;
+             node != Instance::NO_WAITER; node = in.waitNodes[node].second) {
+            Instance::Slot &w = in.slots[in.waitNodes[node].first];
+            w.deps--;
+            w.readyTime = std::max(w.readyTime, in.slots[i].doneCycle);
         }
-        in.waiters[i].clear();
+        in.slots[i].waiters = Instance::NO_WAITER;
 
         // Safe forward points: send on the ring.
         const DynInst &di = in.task->insts[i];
         RegSet fwd = di.fwdMask & in.createMask & ~in.forwardedRegs;
         for (unsigned r = 0; fwd && r < NUM_REGS; ++r) {
             if (fwd & cfg::regBit(RegId(r))) {
-                broadcastReg(in, RegId(r), in.doneCycle[i]);
+                broadcastReg(in, RegId(r), in.slots[i].doneCycle);
                 fwd &= ~cfg::regBit(RegId(r));
             }
         }
     }
 
-    while (in.retPtr < in.numInsts() && in.done[in.retPtr])
+    while (in.retPtr < in.numInsts() && in.slots[in.retPtr].done)
         in.retPtr++;
 
     // Completion.
@@ -746,7 +846,7 @@ Simulator<EV>::execInstance(Instance &in)
     fu_free[unsigned(FuClass::Mem)] = _cfg.numMemFU;
 
     while (in.firstUnissued < in.dispatched &&
-           in.issued[in.firstUnissued]) {
+           in.slots[in.firstUnissued].issued) {
         in.firstUnissued++;
     }
 
@@ -757,17 +857,18 @@ Simulator<EV>::execInstance(Instance &in)
         in.dispatched, in.firstUnissued + _cfg.issueListSize);
     for (uint32_t i = in.firstUnissued;
          i < lim && issued_now < _cfg.issueWidth; ++i) {
-        if (in.issued[i])
+        if (in.slots[i].issued)
             continue;
         bool ok;
         if constexpr (EV) {
             // Inline the blocked-candidate rejects tryIssue would hit
             // first, sparing the per-attempt instruction lookups; the
             // outcomes and flag updates mirror tryIssue exactly.
-            if (in.extMask[i]) {
+            const Instance::Slot &sl = in.slots[i];
+            if (sl.extMask) {
                 ext_wait = true;
                 ok = false;
-            } else if (in.deps[i] > 0 || in.readyTime[i] > _now) {
+            } else if (sl.deps > 0 || sl.readyTime > _now) {
                 ok = false;
             } else {
                 ok = tryIssue(in, i, fu_free, ext_wait, sync_wait);
@@ -790,9 +891,9 @@ Simulator<EV>::execInstance(Instance &in)
         kind = CycleKind::Useful;
     } else if (in.firstUnissued >= in.dispatched) {
         kind = CycleKind::FetchStall;
-    } else if (in.extMask[in.firstUnissued] || ext_wait || sync_wait) {
+    } else if (in.slots[in.firstUnissued].extMask || ext_wait || sync_wait) {
         kind = CycleKind::InterTaskComm;
-        RegSet m = in.extMask[in.firstUnissued];
+        RegSet m = in.slots[in.firstUnissued].extMask;
         if (m)
             _stats.extWaitByReg[__builtin_ctzll(m)]++;
     } else {
@@ -1088,26 +1189,14 @@ Simulator<EV>::assignPhase()
         in->task = &_tasks[dyn_idx];
         const Task &st = _part.tasks[in->task->staticTask];
         in->createMask = st.createMask;
-        size_t n = in->task->insts.size();
-        in->issued.assign(n, 0);
-        in->done.assign(n, 0);
-        in->readyTime.assign(n, 0);
-        in->deps.assign(n, 0);
-        in->extMask.assign(n, 0);
-        in->doneCycle.assign(n, 0);
-        if constexpr (EV) {
-            // Keep the inner waiter lists' capacity across reuse.
-            in->waiters.resize(n);
-            for (auto &w : in->waiters)
-                w.clear();
-        } else {
-            in->waiters.assign(n, {});
-        }
+        in->slots.assign(in->task->insts.size(), Instance::Slot{});
+        in->waitNodes.clear();
         in->lastWriter.fill(-1);
+        in->fwdArr.resize(size_t(NUM_REGS) * _cfg.numPUs);
         initRegAvail(*in);
         // Pending store PCs for synchronization gating (precomputed
         // per dynamic task; re-assignment after a squash reuses it).
-        in->pendingStorePc = storePcsOf(dyn_idx);
+        loadStorePcs(*in);
         _nextDyn = dyn_idx + 1;
     }
 
@@ -1168,7 +1257,7 @@ Simulator<EV>::nextEventCycle() const
             t = std::min(t, in.icacheBlockedUntil);
         // FU / cache-fill completion of issued instructions.
         for (uint32_t i : in.inFlight)
-            t = std::min(t, in.doneCycle[i]);
+            t = std::min(t, in.slots[i].doneCycle);
         // Operand arrival (local producer or ring delivery already
         // folded into readyTime) within the issue window. Entries with
         // readyTime < _now are blocked on ARB/sync/FU conflicts, which
@@ -1176,10 +1265,11 @@ Simulator<EV>::nextEventCycle() const
         uint32_t lim = std::min<uint32_t>(
             in.dispatched, in.firstUnissued + _cfg.issueListSize);
         for (uint32_t i = in.firstUnissued; i < lim; ++i) {
-            if (in.issued[i] || in.deps[i] > 0 || in.extMask[i])
+            const Instance::Slot &sl = in.slots[i];
+            if (sl.issued || sl.deps > 0 || sl.extMask)
                 continue;
-            if (in.readyTime[i] >= _now)
-                t = std::min(t, in.readyTime[i]);
+            if (sl.readyTime >= _now)
+                t = std::min(t, sl.readyTime);
         }
     }
     return t;
@@ -1220,7 +1310,7 @@ Simulator<EV>::skipTo(uint64_t target)
             continue;
         in.buckets.add(in.lastKind, n);
         if (in.lastKind == CycleKind::InterTaskComm) {
-            RegSet m = in.extMask[in.firstUnissued];
+            RegSet m = in.slots[in.firstUnissued].extMask;
             if (m)
                 _stats.extWaitByReg[__builtin_ctzll(m)] += n;
         }
@@ -1239,12 +1329,6 @@ Simulator<EV>::skipTo(uint64_t target)
             for (unsigned pu : _arbPuCap)
                 _sink->instant(obs::InstantKind::ArbOverflow, pu, c);
     }
-
-    // Ring hygiene the stepping loop would have performed at 0x10000
-    // boundaries: one trim at the largest crossed boundary covers all.
-    uint64_t b = target & ~0xffffull;
-    if (b >= _now + 1 && b > 1024)
-        _ring.trimBefore(b - 1024);
 
     _stats.eventSkippedCycles += n;
     _now = target;
@@ -1285,8 +1369,6 @@ Simulator<EV>::run()
         processViolations();
         resolveControl();
         ++_now;
-        if ((_now & 0xffff) == 0)
-            _ring.trimBefore(_now > 1024 ? _now - 1024 : 0);
         if constexpr (EV) if (!_progress) {
             uint64_t target = std::min(nextEventCycle(), _cfg.maxCycles);
             if (_gov) {

@@ -8,7 +8,7 @@
 
 #pragma once
 
-#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -21,95 +21,115 @@ class Ring
   public:
     Ring(unsigned num_pus, unsigned bandwidth)
         : _numPUs(num_pus), _bandwidth(bandwidth)
-    {}
+    {
+        resize(INITIAL_WINDOW);
+    }
 
     /**
      * Sends one value from PU @p from at cycle @p when and computes
      * its arrival time at every PU (consuming link slots on the way
      * around the ring).
      *
-     * @param arrivals filled with the arrival cycle per PU; the
+     * @param now the current simulated cycle. Calls must pass a
+     *        non-decreasing @p now and @p when >= @p now (see the
+     *        window bound below).
+     * @param arrivals receives numPUs arrival cycles, one per PU; the
      *        sender's own slot holds @p when.
      */
     void
-    broadcast(unsigned from, uint64_t when, std::vector<uint64_t> &arrivals)
+    broadcast(unsigned from, uint64_t when, uint64_t now,
+              uint64_t *arrivals)
     {
-        arrivals.assign(_numPUs, 0);
+        assert(now >= _now && when >= now);
+        _now = now;
         arrivals[from] = when;
         uint64_t t = when;
         unsigned p = from;
         for (unsigned hop = 1; hop < _numPUs; ++hop) {
             // Slot on link p -> p+1, adjacent bypass in the same cycle.
             t = claimSlot(p, t);
-            p = (p + 1) % _numPUs;
+            p = p + 1 == _numPUs ? 0 : p + 1;
             arrivals[p] = t;
             ++t;  // Each further hop costs a cycle.
         }
     }
 
-    /** Clears bandwidth bookkeeping older than @p cycle (optional
-     *  memory hygiene for long runs). */
-    void
-    trimBefore(uint64_t cycle)
-    {
-        for (auto &l : _links) {
-            if (cycle <= l.base)
-                continue;
-            size_t drop = size_t(cycle - l.base);
-            if (drop >= l.used.size())
-                l.used.clear();
-            else
-                l.used.erase(l.used.begin(),
-                             l.used.begin() + ptrdiff_t(drop));
-            l.base = cycle;
-        }
-    }
-
   private:
     /**
-     * Per-link slot usage as a sliding window: used[i] counts claims
-     * at cycle base+i. Claims cluster near the current cycle and
-     * trimBefore advances the window, so this stays small; a dropped
-     * (trimmed) or never-claimed cycle reads as zero, exactly like an
-     * absent hash-map entry would.
+     * Per-link slot usage as a circular buffer tagged by cycle: with W
+     * slots per link (a power of two), slot t & (W - 1) counts the
+     * claims at cycle t when its tag equals t, and any other tag reads
+     * as zero claims at t.
+     *
+     * Window bound: every claim made during cycle `now` lies in
+     * [now, now + W). The lower edge holds because a claim is never
+     * earlier than its broadcast's `when` (claimSlot only moves
+     * forward) and the simulator always passes when >= now: it
+     * forwards at the writeback cycle of a producer (writeback runs
+     * exactly at doneCycle, as every latency is >= 1 and a live
+     * instance executes every cycle), at a completion cycle equal to
+     * now, at max(now, arrival) on release, or at max(arrival,
+     * completion) on a chained release inside the current cycle,
+     * where the arrival is a claim of a broadcast made now. The upper
+     * edge holds because claimSlot doubles W before a claim would
+     * leave the window, keeping every live slot. Since `now` never
+     * decreases, a tag below the current `now` is never read again,
+     * and the live tags lie in one W-wide range, so they are distinct
+     * modulo W. A slot whose tag differs from t therefore holds a dead
+     * tag, and resetting it to t with zero claims reads exactly what
+     * an unbounded per-cycle map would. Nothing needs trimming.
      */
-    struct Link
+    struct Slot
     {
-        uint64_t base = 0;
-        std::vector<unsigned> used;
+        uint64_t tag = ~0ull;
+        unsigned used = 0;
     };
 
-    unsigned &
-    slot(Link &l, uint64_t t)
+    static constexpr uint64_t INITIAL_WINDOW = 64;
+
+    /** Rebuilds the buffers with @p window slots per link, keeping
+     *  every live (tag >= _now) slot. */
+    void
+    resize(uint64_t window)
     {
-        if (l.used.empty()) {
-            l.base = t;
-            l.used.assign(64, 0);
-        } else if (t < l.base) {
-            l.used.insert(l.used.begin(), size_t(l.base - t), 0);
-            l.base = t;
-        } else if (t - l.base >= l.used.size()) {
-            l.used.resize(size_t(t - l.base) + 64, 0);
+        std::vector<Slot> grown(size_t(window) * _numPUs);
+        uint64_t mask = window - 1;
+        for (unsigned l = 0; l < _numPUs && !_slots.empty(); ++l) {
+            for (uint64_t i = 0; i <= _mask; ++i) {
+                const Slot &s = _slots[l * (_mask + 1) + i];
+                if (s.tag != ~0ull && s.tag >= _now)
+                    grown[l * window + (s.tag & mask)] = s;
+            }
         }
-        return l.used[size_t(t - l.base)];
+        _slots.swap(grown);
+        _mask = mask;
     }
 
     /** Earliest cycle >= @p t with a free slot on link @p link. */
     uint64_t
     claimSlot(unsigned link, uint64_t t)
     {
-        if (_links.size() < _numPUs)
-            _links.resize(_numPUs);
-        Link &l = _links[link];
-        while (slot(l, t) >= _bandwidth)
-            ++t;
-        ++slot(l, t);
-        return t;
+        for (;; ++t) {
+            while (t - _now > _mask)
+                resize(2 * (_mask + 1));
+            Slot &s = _slots[link * (_mask + 1) + (t & _mask)];
+            if (s.tag != t) {
+                assert(s.tag == ~0ull || s.tag < _now);
+                s.tag = t;
+                s.used = 0;
+            }
+            if (s.used < _bandwidth) {
+                ++s.used;
+                return t;
+            }
+        }
     }
 
     unsigned _numPUs;
     unsigned _bandwidth;
-    std::vector<Link> _links;
+    uint64_t _now = 0;
+    uint64_t _mask = 0;
+    std::vector<Slot> _slots;   ///< numPUs links x (_mask + 1) slots.
 };
 
 } // namespace arch

@@ -35,9 +35,10 @@
  *     daemon — the same `msctool sweep --connect` invocation against
  *     either produces the same msc.sweep document, and the routed one
  *     reports its shard provenance;
- *  9. degradation: SIGKILLing a shard mid-sweep yields a partial
- *     sweep — the surviving shards' rows still stream, the dead
- *     shard's cells become io error rows, and msctool exits 3;
+ *  9. degradation: SIGKILLing a shard mid-sweep (stopped before the
+ *     sweep, so it answers none of its cells) yields a partial sweep
+ *     — the surviving shards' rows still stream, the dead shard's
+ *     cells become io error rows, and msctool exits 3;
  * 10. TCP: mscd binds an ephemeral port (retrying past collisions)
  *     and `msctool --connect tcp:PORT` round-trips stats and a run.
  *
@@ -57,6 +58,7 @@
 #include <string>
 #include <vector>
 
+#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -573,24 +575,50 @@ main(int argc, char **argv)
 
         // ---- 9. Kill a shard mid-sweep: surviving rows stream, the
         //         dead shard's cells become io error rows, msctool
-        //         exits with the partial code.
+        //         exits with the partial code. Shard 2 is stopped
+        //         before the sweep is sent, so it answers none of its
+        //         cells however fast the simulator runs; it is killed
+        //         once the router has forwarded the whole grid and the
+        //         other shards' rows have streamed.
+        auto routerCounter = [&](const char *name) {
+            int src = 0;
+            std::string js = runCapture(
+                scratch,
+                {msctool, "stats", "--connect", "unix:" + rsock,
+                 "--json"},
+                &src);
+            CHECK(src == 0);
+            return report::Json::parse(js)
+                .get("counters")
+                .get(name)
+                .asUInt();
+        };
+        // Section 8 forwarded one grid of the same shape (every
+        // workload x bb,cf x one PU count).
+        const uint64_t grid = routerCounter("router.cells.forwarded");
+        const uint64_t shard2_cells = routerCounter("router.shard.2.cells");
+        CHECK(::kill(shard_procs[2].pid, SIGSTOP) == 0);
         Child deg = spawn(scratch,
                           {msctool, "sweep", "--small", "--strategy",
                            "bb,cf", "--pus", "2", "--insts", "50000",
                            "--connect", "unix:" + rsock},
                           true);
         ::close(deg.in);
+        for (int tries = 0;
+             routerCounter("router.cells.forwarded") < 2 * grid;
+             ++tries) {
+            CHECK(tries < 1200);
+            ::usleep(50'000);
+        }
+        CHECK(routerCounter("router.shard.2.cells") > shard2_cells);
         std::string table;
-        {   // A few rows prove the sweep is underway (each row is
-            // flushed as its cell frame arrives) — then the kill
-            // lands while most of the grid is still in flight.
-            size_t newlines = 0;
-            char buf[512];
-            while (newlines < 4) {
+        {   // Rows stream in grid order up to shard 2's first cell;
+            // read until the stream has been quiet for half a second.
+            char buf[4096];
+            pollfd pfd{deg.out, POLLIN, 0};
+            while (::poll(&pfd, 1, 500) > 0) {
                 ssize_t n = ::read(deg.out, buf, sizeof buf);
                 CHECK(n > 0);
-                for (ssize_t k = 0; k < n; ++k)
-                    newlines += buf[k] == '\n';
                 table.append(buf, size_t(n));
             }
         }

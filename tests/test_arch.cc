@@ -6,11 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <unordered_map>
+#include <vector>
+
 #include "arch/arb.h"
 #include "arch/cache.h"
 #include "arch/predictors.h"
 #include "arch/ring.h"
 #include "arch/stats.h"
+#include "fuzz/rng.h"
+#include "helpers.h"
 
 using namespace msc;
 using namespace msc::arch;
@@ -51,6 +58,38 @@ TEST(Cache, ProbeDoesNotFill)
     EXPECT_FALSE(c.probe(0x40));
     EXPECT_FALSE(c.probe(0x40));
     EXPECT_EQ(c.accesses(), 0u);
+}
+
+/** A cache built after another of the same geometry on this thread
+ *  reuses its line array; it must start cold and evict exactly like
+ *  a cache built from scratch. */
+TEST(Cache, ReusedArrayBehavesLikeFresh)
+{
+    CacheConfig cfg{1024, 2, 32, 1, 1};
+    std::vector<uint64_t> filled;
+    {
+        Cache first(cfg);
+        for (uint64_t a = 0; a < 4096; a += 32) {
+            first.access(a);
+            if (first.probe(a))
+                filled.push_back(a);
+        }
+    }
+    ASSERT_FALSE(filled.empty());
+
+    Cache reused(cfg);              // Takes the idle array.
+    Cache fresh(cfg);               // None idle now: a new array.
+    for (uint64_t a : filled)
+        EXPECT_FALSE(reused.probe(a)) << "stale line " << a;
+
+    fuzz::Rng rng(test::effectiveSeed(11));
+    for (int i = 0; i < 5000; ++i) {
+        uint64_t a = rng.bounded(64) * 32 * 8;  // Few sets, many tags.
+        ASSERT_EQ(reused.access(a), fresh.access(a)) << "access " << i;
+        uint64_t b = rng.bounded(4096);
+        ASSERT_EQ(reused.probe(b), fresh.probe(b)) << "probe " << i;
+    }
+    EXPECT_EQ(reused.misses(), fresh.misses());
 }
 
 TEST(MemoryHierarchyTest, LatenciesCompose)
@@ -152,6 +191,213 @@ TEST(ArbTest, RetireReleasesEntries)
     EXPECT_EQ(arb.entriesInUse(), 0u);
 }
 
+namespace {
+
+/**
+ * The map-based ARB the flat table replaced, kept as the differential
+ * oracle: an unordered_map of per-address access vectors plus a
+ * std::map index of the addresses each task first touched.
+ */
+class MapArb
+{
+  public:
+    explicit MapArb(unsigned capacity) : _capacity(capacity) {}
+
+    bool full() const { return _entries.size() >= _capacity; }
+    bool tracked(uint64_t a) const { return _entries.count(a) != 0; }
+    size_t entriesInUse() const { return _entries.size(); }
+
+    void
+    recordLoad(TaskSeq task, uint64_t addr, uint64_t pc)
+    {
+        auto &list = _entries[addr];
+        TaskSeq src = NO_TASK;
+        for (const Access &a : list)
+            if (a.stored && a.task <= task &&
+                (src == NO_TASK || a.task > src))
+                src = a.task;
+        for (Access &a : list) {
+            if (a.task == task) {
+                if (!a.loaded && !a.stored) {
+                    a.loaded = true;
+                    a.loadSrc = src;
+                    a.loadPc = pc;
+                } else if (!a.loaded) {
+                    a.loaded = true;
+                    a.loadSrc = task;
+                    a.loadPc = pc;
+                }
+                return;
+            }
+        }
+        list.push_back({task, true, false, src, pc});
+        _byTask[task].push_back(addr);
+    }
+
+    Arb::StoreResult
+    recordStore(TaskSeq task, uint64_t addr)
+    {
+        auto &list = _entries[addr];
+        Arb::StoreResult res;
+        for (const Access &a : list) {
+            if (a.task > task && a.loaded &&
+                (a.loadSrc == NO_TASK || a.loadSrc < task)) {
+                if (res.victim == NO_TASK || a.task < res.victim) {
+                    res.victim = a.task;
+                    res.loadPc = a.loadPc;
+                }
+            }
+        }
+        for (Access &a : list) {
+            if (a.task == task) {
+                a.stored = true;
+                return res;
+            }
+        }
+        list.push_back({task, false, true, NO_TASK, 0});
+        _byTask[task].push_back(addr);
+        return res;
+    }
+
+    void
+    squashFrom(TaskSeq task)
+    {
+        auto first = _byTask.lower_bound(task);
+        for (auto it = first; it != _byTask.end(); ++it)
+            filter(it->second, task, false);
+        _byTask.erase(first, _byTask.end());
+    }
+
+    void
+    retireUpTo(TaskSeq task)
+    {
+        auto last = _byTask.upper_bound(task);
+        for (auto it = _byTask.begin(); it != last; ++it)
+            filter(it->second, task, true);
+        _byTask.erase(_byTask.begin(), last);
+    }
+
+  private:
+    struct Access
+    {
+        TaskSeq task;
+        bool loaded, stored;
+        TaskSeq loadSrc;
+        uint64_t loadPc;
+    };
+
+    void
+    filter(const std::vector<uint64_t> &addrs, TaskSeq task, bool retire)
+    {
+        for (uint64_t addr : addrs) {
+            auto it = _entries.find(addr);
+            if (it == _entries.end())
+                continue;
+            auto &list = it->second;
+            list.erase(std::remove_if(list.begin(), list.end(),
+                                      [&](const Access &a) {
+                                          return retire ? a.task <= task
+                                                        : a.task >= task;
+                                      }),
+                       list.end());
+            if (list.empty())
+                _entries.erase(it);
+        }
+    }
+
+    unsigned _capacity;
+    std::unordered_map<uint64_t, std::vector<Access>> _entries;
+    std::map<TaskSeq, std::vector<uint64_t>> _byTask;
+};
+
+} // anonymous namespace
+
+/**
+ * 10k random operations driven the way the simulator drives the ARB:
+ * non-head tasks stall on a full ARB for untracked addresses, the
+ * head task accesses past capacity, violations squash their victim
+ * and younger tasks, and retire commits the head. Up to six tasks are
+ * in flight against a two-record hint, so per-address blocks widen
+ * while other blocks hold records.
+ */
+TEST(ArbTest, FlatTableMatchesMapArb)
+{
+    Arb arb(8, 2);
+    MapArb ref(8);
+    fuzz::Rng rng(test::effectiveSeed(21));
+    TaskSeq head = 0, tail = 0;
+    unsigned past_capacity = 0, squashes = 0, retires = 0;
+    for (int step = 0; step < 10000; ++step) {
+        SCOPED_TRACE(step);
+        unsigned op = unsigned(rng.bounded(100));
+        TaskSeq t = head + rng.bounded(tail - head + 1);
+        // Mostly a small hot set, sometimes a cold address.
+        uint64_t a = rng.bounded(4) ? rng.bounded(24) : rng.bounded(4096);
+        if (op < 70) {
+            ASSERT_EQ(arb.full(), ref.full());
+            ASSERT_EQ(arb.tracked(a), ref.tracked(a));
+            if (t != head && ref.full() && !ref.tracked(a))
+                continue;  // ARB-overflow stall.
+            if (ref.full() && !ref.tracked(a))
+                ++past_capacity;
+            if (op < 35) {
+                arb.recordLoad(t, a, 0x400 + step);
+                ref.recordLoad(t, a, 0x400 + step);
+            } else {
+                Arb::StoreResult got = arb.recordStore(t, a);
+                Arb::StoreResult want = ref.recordStore(t, a);
+                ASSERT_EQ(got.victim, want.victim);
+                ASSERT_EQ(got.loadPc, want.loadPc);
+                if (want.victim != NO_TASK) {
+                    arb.squashFrom(want.victim);
+                    ref.squashFrom(want.victim);
+                    tail = want.victim > head ? want.victim - 1 : head;
+                    ++squashes;
+                }
+            }
+        } else if (op < 82) {
+            if (tail - head < 5)
+                ++tail;
+        } else if (op < 88) {
+            // Control squash of a random suffix.
+            arb.squashFrom(t);
+            ref.squashFrom(t);
+            tail = t > head ? t - 1 : head;
+            ++squashes;
+        } else {
+            arb.retireUpTo(head);
+            ref.retireUpTo(head);
+            if (head == tail)
+                ++tail;
+            ++head;
+            ++retires;
+        }
+        ASSERT_EQ(arb.entriesInUse(), ref.entriesInUse());
+    }
+    EXPECT_GT(past_capacity, 0u);
+    EXPECT_GT(squashes, 0u);
+    EXPECT_GT(retires, 0u);
+}
+
+/** More tasks in flight than the record hint widen every address's
+ *  block without losing records of other addresses. */
+TEST(ArbTest, BlocksWidenPastTheTaskHint)
+{
+    Arb arb(64, 2);
+    arb.recordLoad(2, 200, 0x22);       // Block of 200: tasks 2, 1.
+    arb.recordLoad(1, 200, 0x21);
+    arb.recordLoad(1, 100, 0x11);
+    arb.recordLoad(2, 100, 0x12);
+    arb.recordLoad(3, 100, 0x13);       // Third record: widen.
+    auto r = arb.recordStore(0, 200);
+    EXPECT_EQ(r.victim, 1u);
+    EXPECT_EQ(r.loadPc, 0x21u);
+    auto r2 = arb.recordStore(0, 100);
+    EXPECT_EQ(r2.victim, 1u);
+    arb.retireUpTo(3);
+    EXPECT_EQ(arb.entriesInUse(), 0u);
+}
+
 TEST(SyncTableTest, RemembersAndEvicts)
 {
     SyncTable st(2);
@@ -246,8 +492,8 @@ TEST(RasTest, OverflowDropsOldest)
 TEST(RingTest, AdjacentBypassSameCycle)
 {
     Ring ring(4, 2);
-    std::vector<uint64_t> arr;
-    ring.broadcast(0, 100, arr);
+    std::vector<uint64_t> arr(4);
+    ring.broadcast(0, 100, 100, arr.data());
     EXPECT_EQ(arr[0], 100u);
     EXPECT_EQ(arr[1], 100u);   // Same-cycle bypass to the neighbour.
     EXPECT_EQ(arr[2], 101u);
@@ -257,10 +503,10 @@ TEST(RingTest, AdjacentBypassSameCycle)
 TEST(RingTest, BandwidthLimitsQueueing)
 {
     Ring ring(2, 1);           // 1 value/cycle/link.
-    std::vector<uint64_t> a1, a2, a3;
-    ring.broadcast(0, 50, a1);
-    ring.broadcast(0, 50, a2);
-    ring.broadcast(0, 50, a3);
+    std::vector<uint64_t> a1(2), a2(2), a3(2);
+    ring.broadcast(0, 50, 50, a1.data());
+    ring.broadcast(0, 50, 50, a2.data());
+    ring.broadcast(0, 50, 50, a3.data());
     EXPECT_EQ(a1[1], 50u);
     EXPECT_EQ(a2[1], 51u);     // Second value waits a cycle.
     EXPECT_EQ(a3[1], 52u);
@@ -269,12 +515,117 @@ TEST(RingTest, BandwidthLimitsQueueing)
 TEST(RingTest, WrapsAroundFromAnyPu)
 {
     Ring ring(4, 2);
-    std::vector<uint64_t> arr;
-    ring.broadcast(2, 10, arr);
+    std::vector<uint64_t> arr(4);
+    ring.broadcast(2, 10, 10, arr.data());
     EXPECT_EQ(arr[2], 10u);
     EXPECT_EQ(arr[3], 10u);
     EXPECT_EQ(arr[0], 11u);
     EXPECT_EQ(arr[1], 12u);
+}
+
+namespace {
+
+/** The sliding-window ring the fixed slots replaced (differential
+ *  oracle), including the periodic trim the simulator used to run. */
+class SlidingRing
+{
+  public:
+    SlidingRing(unsigned num_pus, unsigned bandwidth)
+        : _numPUs(num_pus), _bandwidth(bandwidth), _links(num_pus)
+    {}
+
+    void
+    broadcast(unsigned from, uint64_t when, std::vector<uint64_t> &arr)
+    {
+        arr.assign(_numPUs, 0);
+        arr[from] = when;
+        uint64_t t = when;
+        unsigned p = from;
+        for (unsigned hop = 1; hop < _numPUs; ++hop) {
+            Link &l = _links[p];
+            while (slot(l, t) >= _bandwidth)
+                ++t;
+            ++slot(l, t);
+            p = (p + 1) % _numPUs;
+            arr[p] = t;
+            ++t;
+        }
+    }
+
+    void
+    trimBefore(uint64_t cycle)
+    {
+        for (auto &l : _links) {
+            if (cycle <= l.base)
+                continue;
+            size_t drop = size_t(cycle - l.base);
+            if (drop >= l.used.size())
+                l.used.clear();
+            else
+                l.used.erase(l.used.begin(),
+                             l.used.begin() + ptrdiff_t(drop));
+            l.base = cycle;
+        }
+    }
+
+  private:
+    struct Link
+    {
+        uint64_t base = 0;
+        std::vector<unsigned> used;
+    };
+
+    unsigned &
+    slot(Link &l, uint64_t t)
+    {
+        if (l.used.empty()) {
+            l.base = t;
+            l.used.assign(64, 0);
+        } else if (t < l.base) {
+            l.used.insert(l.used.begin(), size_t(l.base - t), 0);
+            l.base = t;
+        } else if (t - l.base >= l.used.size()) {
+            l.used.resize(size_t(t - l.base) + 64, 0);
+        }
+        return l.used[size_t(t - l.base)];
+    }
+
+    unsigned _numPUs;
+    unsigned _bandwidth;
+    std::vector<Link> _links;
+};
+
+} // anonymous namespace
+
+/**
+ * 10k broadcasts under the window bound (non-decreasing now, when >=
+ * now): bursts of same-cycle sends queue on 1-value links, and rare
+ * far-future sends force the slot buffers to grow. Time starts just
+ * below a 2^16 boundary so the oracle's periodic trim runs too.
+ */
+TEST(RingTest, SlotsMatchSlidingWindow)
+{
+    for (unsigned bw : {1u, 2u}) {
+        SCOPED_TRACE(bw);
+        Ring ring(6, bw);
+        SlidingRing ref(6, bw);
+        fuzz::Rng rng(test::effectiveSeed(31 + bw));
+        uint64_t now = 0xff00;
+        std::vector<uint64_t> got(6), want;
+        for (int i = 0; i < 10000; ++i) {
+            uint64_t prev = now;
+            now += rng.bounded(4) == 0 ? rng.bounded(3) : 0;
+            if ((now & ~0xffffull) != (prev & ~0xffffull))
+                ref.trimBefore((now & ~0xffffull) - 1024);
+            uint64_t when = now + (rng.bounded(50) == 0
+                                       ? rng.bounded(600)
+                                       : rng.bounded(4));
+            unsigned from = unsigned(rng.bounded(6));
+            ring.broadcast(from, when, now, got.data());
+            ref.broadcast(from, when, want);
+            ASSERT_EQ(got, want) << "broadcast " << i;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

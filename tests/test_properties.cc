@@ -164,8 +164,8 @@ TEST(RingProperty, ArrivalsMonotoneAndOrdered)
     for (int i = 0; i < 500; ++i) {
         now += rng.next(3);
         unsigned from = unsigned(rng.next(6));
-        std::vector<uint64_t> arr;
-        ring.broadcast(from, now, arr);
+        std::vector<uint64_t> arr(6);
+        ring.broadcast(from, now, now, arr.data());
         // Hop-by-hop arrivals never decrease around the ring.
         for (unsigned h = 1; h < 6; ++h) {
             unsigned p_prev = (from + h - 1) % 6;
@@ -184,8 +184,8 @@ TEST(RingProperty, BandwidthNeverExceeded)
     Ring ring(4, 1);
     std::vector<uint64_t> seen;
     for (int i = 0; i < 10; ++i) {
-        std::vector<uint64_t> arr;
-        ring.broadcast(0, 100, arr);
+        std::vector<uint64_t> arr(4);
+        ring.broadcast(0, 100, 100, arr.data());
         seen.push_back(arr[1]);
     }
     std::sort(seen.begin(), seen.end());
