@@ -23,17 +23,14 @@ Arb::home(uint64_t addr) const
     return size_t((addr * 0x9e3779b97f4a7c15ull) >> _shift);
 }
 
-uint32_t
-Arb::find(uint64_t addr) const
+size_t
+Arb::bucketOf(uint64_t addr) const
 {
     size_t mask = _table.size() - 1;
-    for (size_t b = home(addr);; b = (b + 1) & mask) {
-        const Bucket &k = _table[b];
-        if (k.block == NONE)
-            return NONE;
-        if (k.addr == addr)
-            return k.block;
-    }
+    size_t b = home(addr);
+    while (_table[b].block != NONE && _table[b].addr != addr)
+        b = (b + 1) & mask;
+    return b;
 }
 
 void
@@ -56,15 +53,13 @@ Arb::growTable()
 uint32_t
 Arb::blockOf(uint64_t addr)
 {
-    size_t mask = _table.size() - 1;
-    size_t b = home(addr);
-    for (; _table[b].block != NONE; b = (b + 1) & mask)
-        if (_table[b].addr == addr)
-            return _table[b].block;
+    size_t b = bucketOf(addr);
+    if (_table[b].block != NONE)
+        return _table[b].block;
 
     if (2 * (_size + 1) > _table.size()) {
         growTable();
-        return blockOf(addr);
+        b = bucketOf(addr);
     }
     uint32_t block;
     if (!_freeBlocks.empty()) {
@@ -217,11 +212,8 @@ void
 Arb::filterLists(const std::vector<uint64_t> &addrs, TaskSeq task,
                  bool retire)
 {
-    size_t mask = _table.size() - 1;
     for (uint64_t addr : addrs) {
-        size_t b = home(addr);
-        while (_table[b].block != NONE && _table[b].addr != addr)
-            b = (b + 1) & mask;
+        size_t b = bucketOf(addr);
         if (_table[b].block == NONE)
             continue;  // Already dropped via another indexed task.
         uint32_t block = _table[b].block;

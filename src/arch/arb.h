@@ -52,7 +52,11 @@ class Arb
     bool full() const { return _size >= _capacity; }
 
     /** True when @p addr is already tracked (no new entry needed). */
-    bool tracked(uint64_t addr) const { return find(addr) != NONE; }
+    bool
+    tracked(uint64_t addr) const
+    {
+        return _table[bucketOf(addr)].block != NONE;
+    }
 
     /**
      * Records a load by @p task to @p addr. The version the load
@@ -109,7 +113,9 @@ class Arb
     };
 
     size_t home(uint64_t addr) const;
-    uint32_t find(uint64_t addr) const;
+    /** Bucket holding @p addr, or the empty bucket ending its probe
+     *  run. */
+    size_t bucketOf(uint64_t addr) const;
     /** Block of @p addr's records, creating the entry if absent. */
     uint32_t blockOf(uint64_t addr);
     /** Drops the entry in bucket @p b (backward-shift deletion). */
