@@ -14,8 +14,9 @@
  *  - sweep byte-determinism: cold vs warm SessionPool runs emit
  *    byte-identical msc.sweep documents, and the ISSUE acceptance
  *    grid (2 strategies x 4 SimConfigs) computes exactly 2 frontends;
- *  - the legacy sim::RunResult is safely copyable/movable now that it
- *    shares ownership of the transformed program.
+ *  - StageResults artifacts outlive their Session and stay safely
+ *    copyable/movable: they share ownership of the transformed
+ *    program that `partition.prog` aliases.
  */
 
 #include <gtest/gtest.h>
@@ -29,7 +30,6 @@
 #include "pipeline/session.h"
 #include "report/record.h"
 #include "report/sweep.h"
-#include "sim/runner.h"
 #include "workloads/workload.h"
 
 using namespace msc;
@@ -335,42 +335,44 @@ TEST(SessionSweep, AcceptanceGridComputesExactlyTwoFrontends)
     EXPECT_EQ(stats[StageKind::Simulate].computed, 8u);
 }
 
-// ------------------------------------------------- legacy RunResult
+// ------------------------------------------ artifacts outlive the Session
 
-TEST(RunResultLifetime, CopiesAndMovesKeepPartitionAliasValid)
+TEST(ArtifactLifetime, CopiesAndMovesKeepPartitionAliasValid)
 {
-    sim::RunOptions o;
-    o.sel.strategy = tasksel::Strategy::DataDependence;
-    o.traceInsts = 10'000;
-    o.profileInsts = 20'000;
-    o.config = arch::SimConfig::paperConfig(2);
-
-    sim::RunResult copy;
+    pipeline::StageResults copy;
     {
-        sim::RunResult r = sim::runPipeline(test::makeLoopProgram(100),
-                                            o);
-        ASSERT_EQ(r.partition.prog, r.prog.get());
+        Session session(test::makeLoopProgram(100));
+        pipeline::StageResults r = session.runAll(ddOptions());
+        ASSERT_EQ(r.partition->partition.prog,
+                  r.transformed->prog.get());
         copy = r;                       // copy while original lives
-        sim::RunResult moved = std::move(r);
+        pipeline::StageResults moved = std::move(r);
         copy = std::move(moved);        // then move-assign over it
     }
-    // Original and intermediate are gone; the alias must still hold.
-    ASSERT_NE(copy.prog, nullptr);
-    ASSERT_EQ(copy.partition.prog, copy.prog.get());
-    EXPECT_GT(copy.partition.size(), 0u);
-    EXPECT_FALSE(copy.prog->functions.empty());
+    // Session, original and intermediate are gone; the alias must
+    // still hold.
+    ASSERT_NE(copy.transformed, nullptr);
+    const tasksel::TaskPartition &part = copy.partition->partition;
+    ASSERT_EQ(part.prog, copy.transformed->prog.get());
+    ASSERT_EQ(copy.partition->transformed, copy.transformed);
+    EXPECT_GT(part.size(), 0u);
+    EXPECT_FALSE(part.prog->functions.empty());
     // The partition's block->task map matches the aliased program.
-    EXPECT_EQ(copy.partition.taskOf.size(),
-              copy.prog->functions.size());
-    EXPECT_GT(copy.stats.retiredInsts, 0u);
+    EXPECT_EQ(part.taskOf.size(), part.prog->functions.size());
+    EXPECT_GT(copy.sim->stats.retiredInsts, 0u);
 }
 
-TEST(RunResultLifetime, PartitionOnlySharesOwnershipToo)
+TEST(ArtifactLifetime, PartitionArtifactSharesOwnershipToo)
 {
-    sim::RunOptions o;
-    sim::RunResult r = sim::partitionOnly(test::makeCallProgram(40), o);
-    sim::RunResult copy = r;
-    EXPECT_EQ(copy.prog.get(), r.prog.get());
-    EXPECT_EQ(copy.partition.prog, copy.prog.get());
-    EXPECT_EQ(copy.prog.use_count(), r.prog.use_count());
+    std::shared_ptr<const pipeline::PartitionArtifact> part;
+    {
+        Session session(test::makeCallProgram(40));
+        part = session.select(StageOptions{});
+    }
+    // The Session is gone; the artifact alone keeps the aliased
+    // program alive.
+    ASSERT_EQ(part->partition.prog, part->transformed->prog.get());
+    EXPECT_FALSE(part->partition.prog->functions.empty());
+    EXPECT_EQ(part->partition.taskOf.size(),
+              part->partition.prog->functions.size());
 }
