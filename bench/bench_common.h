@@ -69,68 +69,59 @@ struct BenchOptions
     arch::CoreMode core = arch::CoreMode::Event;
 };
 
+/** Prints @p msg (when non-empty) and @p f's usage, then exits. */
+[[noreturn]] inline void
+usageExit(const report::FlagSet &f, const std::string &msg, int code)
+{
+    if (!msg.empty())
+        std::fprintf(stderr, "%s\n", msg.c_str());
+    std::fprintf(stderr, "usage: %s", f.usage().c_str());
+    std::exit(code);
+}
+
 /**
- * Parses --jobs/--json/--csv (and --help) from argv. Exits with a
- * usage message on unknown flags so a typo can't silently run a
- * multi-minute sweep with default settings.
+ * Parses argv[1..argc) with @p f plus --help/-h. A bad or unknown
+ * flag exits 2 with usage, so a typo can't silently run a
+ * multi-minute sweep with default settings; --help exits 0.
  */
+inline void
+parseOrExit(report::FlagSet &f, int argc, char **argv)
+{
+    bool help = false;
+    f.flag("--help", &help, "print this help");
+    f.flag("-h", &help, "print this help");
+    try {
+        f.parse(argc - 1, argv + 1);
+    } catch (const std::invalid_argument &e) {
+        usageExit(f, e.what(), 2);
+    }
+    if (help)
+        usageExit(f, "", 0);
+}
+
+/** Parses the flags every sweep bench binary shares. */
 inline BenchOptions
 parseBenchArgs(int argc, char **argv)
 {
     BenchOptions o;
-    auto usage = [&](int code) {
-        std::fprintf(stderr,
-                     "usage: %s [--jobs N] [--json file] [--csv file]"
-                     " [--cache-dir dir] [--core cycle|event]\n"
-                     "  --jobs N        run the sweep on N threads "
-                     "(default 1; 0 = all cores)\n"
-                     "  --json file     write structured results "
-                     "(schema: docs/METRICS.md)\n"
-                     "  --csv file      write flat results\n"
-                     "  --cache-dir d   persist frontend artifacts "
-                     "across runs (docs/API.md)\n"
-                     "  --core m        simulator core: event (default)"
-                     " or the cycle-stepping reference; results are "
-                     "byte-identical (docs/PERFORMANCE.md)\n"
-                     "  MSC_SMALL=1     reduced workload scale\n",
-                     argv[0]);
-        std::exit(code);
-    };
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto val = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", a.c_str());
-                usage(2);
-            }
-            return argv[++i];
-        };
-        if (a == "--jobs") {
-            try {
-                o.jobs = report::parseUnsigned<unsigned>("--jobs", val());
-            } catch (const std::invalid_argument &e) {
-                std::fprintf(stderr, "%s\n", e.what());
-                usage(2);
-            }
-        } else if (a == "--json")
-            o.jsonPath = val();
-        else if (a == "--csv")
-            o.csvPath = val();
-        else if (a == "--cache-dir")
-            o.cacheDir = val();
-        else if (a == "--core") {
-            const char *v = val();
-            if (!arch::parseCoreMode(v, o.core)) {
-                std::fprintf(stderr, "bad --core value %s\n", v);
-                usage(2);
-            }
-        } else if (a == "--help" || a == "-h")
-            usage(0);
-        else {
-            std::fprintf(stderr, "unknown flag %s\n", a.c_str());
-            usage(2);
-        }
-    }
+    report::FlagSet f(argv[0], "MSC_SMALL=1 selects the reduced "
+                               "workload scale.");
+    f.flag("--jobs", &o.jobs, "N",
+           "run the sweep on N threads (default 1; 0 = all cores)");
+    f.flag("--json", &o.jsonPath, "file",
+           "write structured results (schema: docs/METRICS.md)");
+    f.flag("--csv", &o.csvPath, "file", "write flat results");
+    f.flag("--cache-dir", &o.cacheDir, "dir",
+           "persist frontend artifacts across runs (docs/API.md)");
+    f.func("--core", "cycle|event",
+           "simulator core: event (default) or the cycle-stepping "
+           "reference; results are byte-identical "
+           "(docs/PERFORMANCE.md)",
+           [&](const std::string &v) {
+               if (!arch::parseCoreMode(v.c_str(), o.core))
+                   throw std::invalid_argument("bad --core value " + v);
+           });
+    parseOrExit(f, argc, argv);
     return o;
 }
 

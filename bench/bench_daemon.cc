@@ -41,6 +41,7 @@
 #include <csignal>
 #include <unistd.h>
 
+#include "bench_common.h"
 #include "client/client.h"
 #include "report/record.h"
 #include "serve/router.h"
@@ -65,46 +66,18 @@ Options
 parseArgs(int argc, char **argv)
 {
     Options o;
-    auto usage = [&](int code) {
-        std::fprintf(
-            stderr,
-            "usage: %s [--requests N] [--shards K] [--jobs J]"
-            " [--json file]\n"
-            "  --requests N  warm run requests per topology"
-            " (default 64)\n"
-            "  --shards K    shard daemons behind the router"
-            " (default 4)\n"
-            "  --jobs J      worker threads per daemon (default 2)\n"
-            "  --json file   write the msc.bench_daemon document\n",
-            argv[0]);
-        std::exit(code);
-    };
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto val = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", a.c_str());
-                usage(2);
-            }
-            return argv[++i];
-        };
-        if (a == "--requests")
-            o.requests = unsigned(atoi(val()));
-        else if (a == "--shards")
-            o.shards = unsigned(atoi(val()));
-        else if (a == "--jobs")
-            o.jobs = unsigned(atoi(val()));
-        else if (a == "--json")
-            o.jsonPath = val();
-        else if (a == "--help" || a == "-h")
-            usage(0);
-        else {
-            std::fprintf(stderr, "unknown flag %s\n", a.c_str());
-            usage(2);
-        }
-    }
+    report::FlagSet f(argv[0]);
+    f.flag("--requests", &o.requests, "N",
+           "warm run requests per topology (default 64)");
+    f.flag("--shards", &o.shards, "K",
+           "shard daemons behind the router (default 4)");
+    f.flag("--jobs", &o.jobs, "J", "worker threads per daemon (default 2)");
+    f.flag("--json", &o.jsonPath, "file",
+           "write the msc.bench_daemon document");
+    bench::parseOrExit(f, argc, argv);
     if (!o.requests || !o.shards)
-        usage(2);
+        bench::usageExit(f, "--requests and --shards must be at least 1",
+                         2);
     return o;
 }
 

@@ -19,26 +19,12 @@
  *       shard is lost. Endpoints use the src/client grammar:
  *       unix:/path, tcp:host:port, tcp:port.
  *
- * Options:
- *   --jobs N         Worker threads executing cells (default:
- *                    hardware concurrency; single-daemon mode only).
- *   --log-json       Emit one structured JSON log line per request
- *                    lifecycle event on stderr
- *                    (docs/OBSERVABILITY.md).
- *   --cache-dir DIR  Persist stage artifacts on disk, shared by every
- *                    request (same format as `msctool sweep
- *                    --cache-dir`; single-daemon mode only — shard
- *                    caches belong to the shards).
- *   --max-frame N    Inbound frame-size cap in bytes (default 16 MiB).
- *   --max-inflight N Per-connection backpressure bound: pooled
- *                    requests past N are refused with a structured
- *                    `busy` error frame (default 0 = unlimited).
- *   --timeout-ms N / --max-fuel N / --max-cycles N
- *                    Default per-cell ExecBudget; a request's
- *                    `budget` object overrides per field.
- *   --version        Print the protocol version and the schema
- *                    versions of every document the daemon can emit,
- *                    then exit 0.
+ * The flags (generated usage: `mscd` with no mode) set the
+ * single-daemon config; a router takes only its frontend part
+ * (budget defaults, frame cap, in-flight bound, logging), since
+ * workers and caches belong to the shards. The budget flags are
+ * per-cell defaults that a request's `budget` object overrides per
+ * field.
  *
  * Exit code 0 on clean shutdown (end-of-stream in --stdio mode,
  * SIGINT/SIGTERM in listener modes), 1 on setup failure or bad usage.
@@ -49,10 +35,8 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
-#include <type_traits>
 
 #include "client/endpoint.h"
 #include "obs/taskprof.h"
@@ -73,26 +57,6 @@ onSignal(int)
     // requestStop is async-signal-safe: atomics + close().
     if (g_front)
         g_front->requestStop();
-}
-
-int
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: mscd --stdio | --unix PATH | --tcp PORT\n"
-        "            [--jobs N] [--cache-dir DIR] [--max-frame N]\n"
-        "            [--max-inflight N]\n"
-        "            [--timeout-ms N] [--max-fuel N] [--max-cycles N]\n"
-        "            [--log-json]\n"
-        "       mscd --router --shard ENDPOINT [--shard ENDPOINT ...]\n"
-        "            (--stdio | --unix PATH | --tcp PORT) [options]\n"
-        "       mscd --version\n"
-        "\n"
-        "Serve msc pipeline requests over a length-prefixed JSON\n"
-        "protocol (docs/DAEMON.md). --router fans cells out to shard\n"
-        "daemons (unix:/path | tcp:host:port | tcp:port endpoints).\n");
-    return 1;
 }
 
 int
@@ -117,86 +81,76 @@ main(int argc, char **argv)
     enum class Mode { None, Stdio, Unix, Tcp } mode = Mode::None;
     std::string unix_path;
     uint16_t tcp_port = 0;
-    bool router = false;
+    bool router = false, version = false;
 
     // Flags land in the single-daemon config; the router takes the
     // frontend part of it.
     serve::ServerConfig cfg;
     serve::RouterConfig rcfg;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto arg = [&](const char *name) -> const char * {
-            if (a != name)
-                return nullptr;
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "mscd: %s needs a value\n", name);
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        auto number = [](const char *name, const char *v, auto *out) {
-            try {
-                *out = report::parseUnsigned<
-                    std::remove_pointer_t<decltype(out)>>(name, v);
-            } catch (const std::invalid_argument &e) {
-                std::fprintf(stderr, "mscd: %s\n", e.what());
-                std::exit(1);
-            }
-        };
-        if (a == "--version") {
-            return printVersion("mscd");
-        } else if (a == "--stdio") {
-            mode = Mode::Stdio;
-        } else if (a == "--router") {
-            router = true;
-        } else if (a == "--log-json") {
-            cfg.logJson = true;
-        } else if (const char *v = arg("--unix")) {
-            mode = Mode::Unix;
-            unix_path = v;
-        } else if (const char *v1 = arg("--tcp")) {
-            mode = Mode::Tcp;
-            number("--tcp", v1, &tcp_port);
-            if (tcp_port == 0) {
-                std::fprintf(stderr, "mscd: bad port %s\n", v1);
-                return 1;
-            }
-        } else if (const char *vs = arg("--shard")) {
-            try {
-                client::Endpoint ep = client::parseEndpoint(vs);
-                if (ep.kind == client::Endpoint::Kind::Stdio) {
-                    std::fprintf(
-                        stderr,
-                        "mscd: --shard cannot be stdio (a shard "
-                        "needs its own listener)\n");
-                    return 1;
-                }
-                rcfg.shards.push_back(std::move(ep));
-            } catch (const std::exception &e) {
-                std::fprintf(stderr, "mscd: %s\n", e.what());
-                return 1;
-            }
-        } else if (const char *v2 = arg("--jobs")) {
-            number("--jobs", v2, &cfg.dispatch.jobs);
-        } else if (const char *v3 = arg("--cache-dir")) {
-            cfg.dispatch.session.cacheDir = v3;
-        } else if (const char *v4 = arg("--max-frame")) {
-            number("--max-frame", v4, &cfg.maxFrame);
-        } else if (const char *v8 = arg("--max-inflight")) {
-            number("--max-inflight", v8, &cfg.maxInflight);
-        } else if (const char *v5 = arg("--timeout-ms")) {
-            number("--timeout-ms", v5, &cfg.defaults.budget.wallMs);
-        } else if (const char *v6 = arg("--max-fuel")) {
-            number("--max-fuel", v6, &cfg.defaults.budget.maxFuel);
-        } else if (const char *v7 = arg("--max-cycles")) {
-            number("--max-cycles", v7, &cfg.defaults.budget.maxSimCycles);
-        } else {
-            std::fprintf(stderr, "mscd: unknown option %s\n",
-                         a.c_str());
-            return usage();
-        }
+    report::FlagSet f("mscd", "Serve msc pipeline requests "
+                              "(docs/DAEMON.md); needs one of --stdio, "
+                              "--unix, --tcp.");
+    f.func("--stdio", nullptr, "serve one connection on stdin/stdout",
+           [&](const std::string &) { mode = Mode::Stdio; });
+    f.func("--unix", "PATH", "listen on a Unix-domain socket",
+           [&](const std::string &v) {
+               mode = Mode::Unix;
+               unix_path = v;
+           });
+    f.func("--tcp", "PORT", "listen on 127.0.0.1:PORT",
+           [&](const std::string &v) {
+               mode = Mode::Tcp;
+               tcp_port = report::parseUnsigned<uint16_t>("--tcp", v);
+               if (tcp_port == 0)
+                   throw std::invalid_argument("bad port " + v);
+           });
+    f.flag("--router", &router,
+           "fan cells out to the --shard daemons; execute nothing");
+    f.func("--shard", "EP",
+           "a shard daemon (unix:PATH | tcp:HOST:PORT | tcp:PORT); "
+           "repeat per shard",
+           [&](const std::string &v) {
+               client::Endpoint ep = client::parseEndpoint(v);
+               if (ep.kind == client::Endpoint::Kind::Stdio)
+                   throw std::invalid_argument(
+                       "--shard cannot be stdio (a shard needs its "
+                       "own listener)");
+               rcfg.shards.push_back(std::move(ep));
+           });
+    f.flag("--jobs", &cfg.dispatch.jobs, "N",
+           "worker threads executing cells (default: hardware "
+           "concurrency)");
+    f.flag("--cache-dir", &cfg.dispatch.session.cacheDir, "DIR",
+           "persist stage artifacts on disk");
+    f.flag("--max-frame", &cfg.maxFrame, "N",
+           "inbound frame-size cap in bytes (default 16 MiB)");
+    f.flag("--max-inflight", &cfg.maxInflight, "N",
+           "per-connection bound; pooled requests past N get a "
+           "`busy` error frame (default 0 = unlimited)");
+    f.flag("--timeout-ms", &cfg.defaults.budget.wallMs, "N",
+           "default per-cell wall-clock budget");
+    f.flag("--max-fuel", &cfg.defaults.budget.maxFuel, "N",
+           "default per-cell interpreted-instruction budget");
+    f.flag("--max-cycles", &cfg.defaults.budget.maxSimCycles, "N",
+           "default per-cell simulated-cycle budget");
+    f.flag("--log-json", &cfg.logJson,
+           "one JSON log line per lifecycle event on stderr "
+           "(docs/OBSERVABILITY.md)");
+    f.flag("--version", &version,
+           "print the protocol and schema versions and exit");
+    auto usage = [&] {
+        std::fprintf(stderr, "usage: %s", f.usage().c_str());
+        return 1;
+    };
+    try {
+        f.parse(argc - 1, argv + 1);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "mscd: %s\n", e.what());
+        return usage();
     }
+    if (version)
+        return printVersion("mscd");
     if (mode == Mode::None)
         return usage();
     if (router && rcfg.shards.empty()) {
@@ -238,5 +192,5 @@ main(int argc, char **argv)
       case Mode::None:
         break;
     }
-    return usage();
+    return 1;
 }

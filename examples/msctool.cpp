@@ -1,72 +1,57 @@
 /**
  * @file
- * msctool — command-line front end to the whole library.
+ * msctool — command-line front end to the whole library. `msctool`
+ * with no verb prints every verb's flags, generated from the flag
+ * tables below (report::FlagSet).
  *
- *   msctool list
- *       List bundled workloads.
- *   msctool disasm <workload|file.mir>
- *       Print a program in the textual IR format (parseable back).
- *   msctool run <workload|file.mir> [--pus N] [--strategy bb|cf|dd]
- *               [--in-order] [--size] [--targets N] [--insts N]
- *               [--timeout-ms N] [--max-fuel N] [--max-cycles N]
- *       Full pipeline: transforms, profile, partition, simulate.
- *   msctool exec <workload|file.mir>
- *       Functional execution only; prints the checksum.
- *   msctool sweep [workloads...] [--strategy bb,cf,dd] [--pus 4,8]
- *               [--jobs N] [--json file] [--csv file] [--in-order]
- *               [--size] [--targets N] [--insts N] [--small]
- *               [--cache-dir DIR] [--timeout-ms N] [--max-fuel N]
- *               [--max-cycles N]
- *       Run a workload × strategy × PU grid (all bundled workloads
- *       when none are named), optionally in parallel, and emit the
- *       structured results (schema: docs/METRICS.md). Grid points
- *       share frontend artifacts through a SessionPool; --cache-dir
- *       persists them across invocations (docs/API.md). Failing
- *       cells are isolated: they print as ERROR rows and serialize
- *       as `status: "error"` objects in a `partial: true` document
- *       (docs/ROBUSTNESS.md). Exit code: 0 all cells ok, 1 all
- *       failed, 3 partial (some of each).
- *   msctool fuzz [--count N] [--seed S] [--jobs N] [--size 0..3]
- *               [--max-insts N] [--corpus-dir DIR] [--no-shrink]
- *               [--timeout-ms N] [--max-fuel N]
- *       Differential fuzzing: random programs through three
- *       independent oracles under every selection strategy
- *       (docs/TESTING.md). Nonzero exit on any divergence.
- *       --timeout-ms/--max-fuel bound each seed's whole differential;
- *       exhaustion records the seed as a `timeout` failure (written
- *       to --corpus-dir as timeout-seed<N>.mir, never shrunk)
- *       instead of hanging the campaign.
- *   msctool trace <workload|file.mir> [--out trace.json]
- *               [--taskprof prof.json] [--pus N] [--strategy bb|cf|dd]
- *               [--in-order] [--size] [--targets N] [--insts N]
- *               [--top N] [--phase-times] [--check]
- *       Full pipeline with task-lifecycle tracing: write a
- *       Perfetto/chrome://tracing timeline and a per-static-task
- *       msc.taskprof attribution profile, print the hot-tasks table
- *       (docs/TRACING.md). --check re-parses the emitted trace and
- *       verifies the span-vs-SimStats accounting invariant.
- *   msctool stats --connect EP [--json | --prom]
- *       Query a live mscd for its telemetry snapshot via the `stats`
- *       protocol verb (docs/OBSERVABILITY.md): counters, gauges, and
- *       latency histograms as a table, the raw `msc.metrics` JSON
- *       document (--json), or Prometheus text exposition (--prom).
- *   msctool cancel <request-id> --connect EP
- *       Ask a live daemon to cancel the in-flight request whose id is
- *       <request-id>; prints whether the target was found.
- *   msctool version
- *       Print the daemon protocol version and the schema versions of
- *       every structured document this build emits.
+ *   list     The bundled workloads.
+ *   disasm   A program in the textual IR format (parseable back).
+ *   exec     Functional execution only; prints the checksum.
+ *   run      One cell through the full pipeline: transforms, profile,
+ *            partition, simulate.
+ *   sweep    A workload × strategy × PU grid (all bundled workloads
+ *            when none are named), optionally in parallel, emitting
+ *            msc.sweep results (docs/METRICS.md). Grid points share
+ *            frontend artifacts through a SessionPool; --cache-dir
+ *            persists them across invocations (docs/API.md). Failing
+ *            cells are isolated: they print as ERROR rows and
+ *            serialize as `status: "error"` objects in a
+ *            `partial: true` document (docs/ROBUSTNESS.md). Exit
+ *            code: 0 all cells ok, 1 all failed, 3 partial. A grid
+ *            holds at most serve::MAX_SWEEP_CELLS (4096) cells, the
+ *            daemon's cap.
+ *   trace    One cell with task-lifecycle tracing: a
+ *            Perfetto/chrome://tracing timeline, a per-static-task
+ *            msc.taskprof profile and the hot-tasks table
+ *            (docs/TRACING.md). --check re-parses the emitted trace
+ *            and verifies the span-vs-SimStats accounting invariant.
+ *   fuzz     Differential fuzzing: random programs through three
+ *            independent oracles under every selection strategy
+ *            (docs/TESTING.md); nonzero exit on any divergence. The
+ *            budgets bound each seed's whole differential; exhaustion
+ *            records the seed as a `timeout` failure (written to
+ *            --corpus-dir as timeout-seed<N>.mir, never shrunk)
+ *            instead of hanging the campaign.
+ *   stats    A live daemon's telemetry snapshot via the `stats`
+ *            protocol verb (docs/OBSERVABILITY.md): a table, the raw
+ *            `msc.metrics` document, or Prometheus text.
+ *   cancel   Ask a live daemon to cancel the in-flight request with
+ *            the given id; prints whether the target was found.
+ *   version  The daemon protocol version and the schema versions of
+ *            every structured document this build emits.
  *
- * Remote execution: `run`, `sweep`, `trace`, `stats`, and `cancel`
- * all accept `--connect unix:/path | tcp:host:port | tcp:port |
- * stdio` (src/client endpoint grammar, docs/API.md). With --connect
- * the work happens in the daemon at that endpoint — which may be a
- * `mscd --router` front-end — and the tool becomes a thin protocol
- * client rendering the streamed frames. With `stdio` the wire owns
- * this process's stdin/stdout (for piping through a spawned `mscd
- * --stdio`), so all rendering moves to stderr. Host-side flags
- * (--cache-dir, --jobs, --check, --phase-times) and `.mir` files
- * don't travel over the wire and are rejected with --connect.
+ * One request, two executors: run, trace and sweep always build the
+ * client::RequestBuilder request a daemon would receive. With
+ * `--connect` (src/client endpoint grammar, docs/API.md) it is sent
+ * to the daemon at that endpoint — which may be a `mscd --router`
+ * front-end — and the tool renders the streamed frames; with `stdio`
+ * the wire owns this process's stdin/stdout, so rendering moves to
+ * stderr. Without `--connect`, serve::parseRequest, the daemon's own
+ * parser, resolves the same request into RunSpecs in-process, so
+ * local and remote runs accept the same values, reject garbage with
+ * the same text and build the same specs. Host-side flags
+ * (--cache-dir, --jobs, --csv, --check, --phase-times) and `.mir`
+ * files don't travel over the wire and are rejected with --connect.
  *
  * Files with a `.mir` extension are parsed with ir::parseProgram, so
  * hand-written programs work everywhere a workload name does
@@ -104,11 +89,17 @@ using namespace msc;
 
 namespace {
 
+bool
+isMirFile(const std::string &spec)
+{
+    return spec.size() > 4 &&
+           spec.compare(spec.size() - 4, 4, ".mir") == 0;
+}
+
 ir::Program
 loadProgram(const std::string &spec)
 {
-    if (spec.size() > 4 &&
-        spec.compare(spec.size() - 4, 4, ".mir") == 0) {
+    if (isMirFile(spec)) {
         std::ifstream in(spec);
         if (!in)
             throw std::runtime_error("cannot open " + spec);
@@ -127,6 +118,13 @@ loadProgram(const std::string &spec)
 struct Remote
 {
     std::string spec;  ///< Raw endpoint text; empty = run locally.
+
+    void declare(report::FlagSet &f)
+    {
+        f.flag("--connect", &spec, "EP",
+               "daemon endpoint: unix:PATH | tcp:HOST:PORT | tcp:PORT | "
+               "stdio");
+    }
 
     bool enabled() const { return !spec.empty(); }
 
@@ -154,8 +152,94 @@ struct Remote
     }
 };
 
+/** The flags run, trace and sweep share, and the request they build.
+ *  Single-cell verbs take one strategy and one PU count; sweep takes
+ *  comma lists of both. */
+struct CellArgs
+{
+    CellArgs(bool grid_, std::vector<std::string> strategies_,
+             std::vector<unsigned> pus_, uint64_t insts_)
+        : grid(grid_), strategies(std::move(strategies_)),
+          pus(std::move(pus_)), insts(insts_)
+    {}
+
+    bool grid;
+    std::vector<std::string> strategies;
+    std::vector<unsigned> pus;
+    uint64_t insts;
+    unsigned targets = 4;
+    bool inOrder = false;
+    bool sizeHeuristic = false;
+    std::string core = "event";
+    Remote remote;
+
+    void declare(report::FlagSet &f)
+    {
+        if (grid) {
+            f.flag("--strategy", &strategies, "bb,cf,dd",
+                   "task-selection strategies (default bb,cf,dd)");
+            f.flag("--pus", &pus, "4,8", "PU counts (default 4,8)");
+        } else {
+            f.func("--strategy", "bb|cf|dd",
+                   "task-selection strategy (default dd)",
+                   [this](const std::string &v) { strategies = {v}; });
+            f.func("--pus", "N", "processing units (default 4)",
+                   [this](const std::string &v) {
+                       pus = {report::parseUnsigned<unsigned>("--pus", v)};
+                   });
+        }
+        f.flag("--targets", &targets, "N",
+               "exposed task targets N (default 4)");
+        f.flag("--insts", &insts, "N",
+               grid ? "timing-trace instructions (default 250000)"
+                    : "timing-trace instructions (default 400000)");
+        f.flag("--in-order", &inOrder,
+               "in-order PUs (default out-of-order)");
+        f.flag("--size", &sizeHeuristic, "task-size heuristic");
+        f.flag("--core", &core, "cycle|event",
+               "simulator core (default event; results are identical)");
+        remote.declare(f);
+    }
+
+    /** Sets every shared field of @p req. */
+    void apply(client::RequestBuilder &req) const
+    {
+        if (grid)
+            req.strategies(strategies).pus(pus);
+        else
+            req.strategy(strategies.front()).pusCount(pus.front());
+        req.insts(insts)
+            .targets(targets)
+            .inOrder(inOrder)
+            .sizeHeuristic(sizeHeuristic)
+            .core(core);
+    }
+};
+
+/** The per-cell budgets run and sweep accept (fuzz takes all but
+ *  --max-cycles). */
+void
+declareBudget(report::FlagSet &f, runtime::ExecBudget &b,
+              bool cycles = true)
+{
+    f.flag("--timeout-ms", &b.wallMs, "N",
+           "wall-clock budget in ms (default unlimited)");
+    f.flag("--max-fuel", &b.maxFuel, "N",
+           "interpreted-instruction budget (default unlimited)");
+    if (cycles)
+        f.flag("--max-cycles", &b.maxSimCycles, "N",
+               "simulated-cycle budget (default unlimited)");
+}
+
+/** Resolves @p req into RunSpecs exactly as a daemon would. */
+std::vector<report::RunSpec>
+localSpecs(const client::RequestBuilder &req)
+{
+    return serve::parseRequest(req.payload(), {}).specs;
+}
+
 /** One sweep-table row from a wire `run` object (msc.sweep schema —
- *  the same row cmdSweep prints for a local RunRecord). */
+ *  the same row a local sweep prints for a RunRecord). */
 void
 printRunRow(std::FILE *out, const report::Json &run)
 {
@@ -226,388 +310,324 @@ streamRemoteSweep(const Remote &remote,
     return sw.last.exitCode;
 }
 
-int
-cmdList()
-{
-    std::printf("%-10s %-14s %s\n", "name", "models", "suite");
-    for (const auto &w : workloads::allWorkloads())
-        std::printf("%-10s %-14s %s\n", w.name.c_str(),
-                    w.models.c_str(), w.isFp ? "fp" : "int");
-    return 0;
-}
+// ---------------------------------------------------------------------------
+// Verbs. Each binds its flag table to its own fields (flags()) and
+// then runs on the parsed values (run()).
 
-int
-cmdDisasm(const std::string &spec)
+struct ListVerb
 {
-    ir::Program p = loadProgram(spec);
-    std::printf("%s", ir::toString(p).c_str());
-    return 0;
-}
-
-int
-cmdExec(const std::string &spec)
-{
-    ir::Program p = loadProgram(spec);
-    profile::Interpreter in(p);
-    uint64_t n = in.runQuiet();
-    std::printf("%s: %llu instructions, halted=%d, checksum mem[0]=%lld\n",
-                spec.c_str(), (unsigned long long)n, in.halted(),
-                (long long)in.mem(0));
-    return in.halted() ? 0 : 1;
-}
-
-int
-cmdRun(int argc, char **argv)
-{
-    std::string spec = argv[0];
-    tasksel::SelectionOptions sel;
-    uint64_t trace_insts = 400'000;
-    unsigned pus = 4;
-    bool ooo = true;
-    std::string cache_dir;
-    runtime::ExecBudget budget;
-    arch::CoreMode core = arch::CoreMode::Event;
-    Remote remote;
-
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto arg = [&](const char *name) -> const char * {
-            if (a != name)
-                return nullptr;
-            if (i + 1 >= argc)
-                throw std::runtime_error(std::string(name) +
-                                         " needs a value");
-            return argv[++i];
-        };
-        if (const char *v = arg("--pus")) {
-            pus = unsigned(atoi(v));
-        } else if (const char *v2 = arg("--strategy")) {
-            std::string s = v2;
-            sel.strategy = s == "bb" ? tasksel::Strategy::BasicBlock
-                         : s == "cf" ? tasksel::Strategy::ControlFlow
-                                     : tasksel::Strategy::DataDependence;
-        } else if (const char *v3 = arg("--targets")) {
-            sel.maxTargets = unsigned(atoi(v3));
-        } else if (const char *v4 = arg("--insts")) {
-            trace_insts = uint64_t(atoll(v4));
-        } else if (const char *v5 = arg("--cache-dir")) {
-            cache_dir = v5;
-        } else if (const char *v6 = arg("--timeout-ms")) {
-            budget.wallMs = uint32_t(atoll(v6));
-        } else if (const char *v7 = arg("--max-fuel")) {
-            budget.maxFuel = uint64_t(atoll(v7));
-        } else if (const char *v8 = arg("--max-cycles")) {
-            budget.maxSimCycles = uint64_t(atoll(v8));
-        } else if (const char *v9 = arg("--core")) {
-            if (!arch::parseCoreMode(v9, core))
-                throw std::runtime_error("bad --core value " +
-                                         std::string(v9));
-        } else if (const char *v10 = arg("--connect")) {
-            remote.spec = v10;
-        } else if (a == "--in-order") {
-            ooo = false;
-        } else if (a == "--size") {
-            sel.taskSizeHeuristic = true;
-        } else {
-            throw std::runtime_error("unknown flag " + a);
-        }
+    report::FlagSet flags()
+    {
+        return report::FlagSet("msctool list", "List bundled workloads.");
     }
-    if (remote.enabled()) {
-        remote.reject(!cache_dir.empty(), "--cache-dir");
-        remote.reject(spec.size() > 4 && spec.compare(spec.size() - 4,
-                                                      4, ".mir") == 0,
-                      "a .mir file");
+
+    int run() const
+    {
+        std::printf("%-10s %-14s %s\n", "name", "models", "suite");
+        for (const auto &w : workloads::allWorkloads())
+            std::printf("%-10s %-14s %s\n", w.name.c_str(),
+                        w.models.c_str(), w.isFp ? "fp" : "int");
+        return 0;
+    }
+};
+
+struct DisasmVerb
+{
+    std::string spec;
+
+    report::FlagSet flags()
+    {
+        return report::FlagSet("msctool disasm",
+                               "Print a program in the textual IR "
+                               "format.")
+            .positional(&spec, "<workload|file.mir>");
+    }
+
+    int run() const
+    {
+        std::printf("%s", ir::toString(loadProgram(spec)).c_str());
+        return 0;
+    }
+};
+
+struct ExecVerb
+{
+    std::string spec;
+
+    report::FlagSet flags()
+    {
+        return report::FlagSet("msctool exec",
+                               "Functional execution; prints the "
+                               "checksum.")
+            .positional(&spec, "<workload|file.mir>");
+    }
+
+    int run() const
+    {
+        ir::Program p = loadProgram(spec);
+        profile::Interpreter in(p);
+        uint64_t n = in.runQuiet();
+        std::printf(
+            "%s: %llu instructions, halted=%d, checksum mem[0]=%lld\n",
+            spec.c_str(), (unsigned long long)n, in.halted(),
+            (long long)in.mem(0));
+        return in.halted() ? 0 : 1;
+    }
+};
+
+struct RunVerb
+{
+    std::string spec, cacheDir;
+    CellArgs cell{false, {"dd"}, {4}, 400'000};
+    runtime::ExecBudget budget;
+
+    report::FlagSet flags()
+    {
+        report::FlagSet f("msctool run",
+                          "Full pipeline: transforms, profile, "
+                          "partition, simulate.");
+        f.positional(&spec, "<workload|file.mir>");
+        cell.declare(f);
+        declareBudget(f, budget);
+        f.flag("--cache-dir", &cacheDir, "DIR",
+               "persist stage artifacts on disk (docs/API.md)");
+        return f;
+    }
+
+    int run() const
+    {
         client::RequestBuilder req =
             client::RequestBuilder::run("run-cli", spec);
-        req.strategy(report::strategyId(sel.strategy))
-            .pusCount(pus)
-            .smallScale(true)  // local `run` builds Scale::Small too
-            .insts(trace_insts)
-            .targets(sel.maxTargets)
-            .inOrder(!ooo)
-            .sizeHeuristic(sel.taskSizeHeuristic)
-            .core(arch::coreModeName(core))
+        cell.apply(req);
+        req.smallScale(true)  // loadProgram builds Scale::Small too
             .budget(budget);
-        return streamRemoteSweep(remote, req, "");
+        const Remote &remote = cell.remote;
+        if (remote.enabled()) {
+            remote.reject(!cacheDir.empty(), "--cache-dir");
+            remote.reject(isMirFile(spec), "a .mir file");
+            return streamRemoteSweep(remote, req, "");
+        }
+        report::RunSpec sp = localSpecs(req).front();
+        const tasksel::SelectionOptions &sel = sp.opts.sel;
+        const arch::SimConfig &cfg = sp.opts.config;
+
+        pipeline::Session session(loadProgram(spec),
+                                  pipeline::SessionConfig{cacheDir});
+        pipeline::StageResults r = session.runAll(sp.opts);
+        const tasksel::TaskPartition &partition = r.partition->partition;
+        const arch::SimStats &st = r.sim->stats;
+        std::printf("%s | %s tasks | %u %s PUs | N=%u%s\n",
+                    spec.c_str(), tasksel::strategyName(sel.strategy),
+                    cfg.numPUs,
+                    cfg.outOfOrder ? "out-of-order" : "in-order",
+                    sel.maxTargets,
+                    sel.taskSizeHeuristic ? " | +size" : "");
+        std::printf("  static tasks %zu (avg %.1f insts), unrolled %u, "
+                    "hoisted %u, included calls %zu\n",
+                    partition.size(), partition.avgStaticSize(),
+                    r.transformed->loopsUnrolled,
+                    r.transformed->ivsHoisted,
+                    partition.includedCalls.size());
+        std::printf("  IPC %.3f | %llu cycles | %llu insts | %llu tasks "
+                    "(avg %.1f)\n",
+                    st.ipc(), (unsigned long long)st.cycles,
+                    (unsigned long long)st.retiredInsts,
+                    (unsigned long long)st.dynTasks, st.avgTaskSize());
+        std::printf("  task mispred %.2f%% | branch mispred %.2f%% | "
+                    "mem violations %llu | window span %.0f\n",
+                    st.taskMispredictPct(),
+                    st.branchPredictions
+                        ? 100.0 * double(st.branchMispredictions) /
+                              double(st.branchPredictions)
+                        : 0.0,
+                    (unsigned long long)st.memViolations,
+                    st.measuredWindowSpan);
+        std::printf("%s", arch::formatBuckets(st).c_str());
+        return 0;
     }
-    pipeline::StageOptions o = pipeline::StageOptions::fromSelection(sel);
-    o.trace.traceInsts = trace_insts;
-    o.config = arch::SimConfig::paperConfig(pus, ooo);
-    o.config.maxTargets = sel.maxTargets;
-    o.config.coreMode = core;
-    o.budget = budget;
+};
 
-    pipeline::Session session(loadProgram(spec),
-                              pipeline::SessionConfig{cache_dir});
-    pipeline::StageResults r = session.runAll(o);
-    const tasksel::TaskPartition &partition = r.partition->partition;
-    const arch::SimStats &st = r.sim->stats;
-    std::printf("%s | %s tasks | %u %s PUs | N=%u%s\n", spec.c_str(),
-                tasksel::strategyName(sel.strategy), pus,
-                ooo ? "out-of-order" : "in-order", sel.maxTargets,
-                sel.taskSizeHeuristic ? " | +size" : "");
-    std::printf("  static tasks %zu (avg %.1f insts), unrolled %u, "
-                "hoisted %u, included calls %zu\n",
-                partition.size(), partition.avgStaticSize(),
-                r.transformed->loopsUnrolled, r.transformed->ivsHoisted,
-                partition.includedCalls.size());
-    std::printf("  IPC %.3f | %llu cycles | %llu insts | %llu tasks "
-                "(avg %.1f)\n",
-                st.ipc(), (unsigned long long)st.cycles,
-                (unsigned long long)st.retiredInsts,
-                (unsigned long long)st.dynTasks, st.avgTaskSize());
-    std::printf("  task mispred %.2f%% | branch mispred %.2f%% | "
-                "mem violations %llu | window span %.0f\n",
-                st.taskMispredictPct(),
-                st.branchPredictions
-                    ? 100.0 * double(st.branchMispredictions) /
-                          double(st.branchPredictions)
-                    : 0.0,
-                (unsigned long long)st.memViolations,
-                st.measuredWindowSpan);
-    std::printf("%s", arch::formatBuckets(st).c_str());
-    return 0;
-}
-
-/** Splits "a,b,c" into {"a","b","c"}. */
-std::vector<std::string>
-splitList(const std::string &s)
-{
-    std::vector<std::string> out;
-    size_t pos = 0;
-    while (pos <= s.size()) {
-        size_t comma = s.find(',', pos);
-        if (comma == std::string::npos)
-            comma = s.size();
-        if (comma > pos)
-            out.push_back(s.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    return out;
-}
-
-int
-cmdSweep(int argc, char **argv)
+struct SweepVerb
 {
     std::vector<std::string> names;
-    std::vector<std::string> strategies = {"bb", "cf", "dd"};
-    std::vector<unsigned> pus = {4, 8};
-    unsigned jobs = 0;                 // default: all cores
-    unsigned targets = 4;
-    uint64_t insts = 250'000;
-    bool ooo = true, size_heur = false;
-    workloads::Scale scale = workloads::Scale::Full;
-    std::string json_path, csv_path, cache_dir;
+    CellArgs cell{true, {"bb", "cf", "dd"}, {4, 8}, 250'000};
     runtime::ExecBudget budget;
-    arch::CoreMode core = arch::CoreMode::Event;
-    Remote remote;
+    unsigned jobs = 0;  // all cores
+    bool small = false;
+    std::string jsonPath, csvPath, cacheDir;
 
-    for (int i = 0; i < argc; ++i) {
-        std::string a = argv[i];
-        auto arg = [&](const char *name) -> const char * {
-            if (a != name)
-                return nullptr;
-            if (i + 1 >= argc)
-                throw std::runtime_error(std::string(name) +
-                                         " needs a value");
-            return argv[++i];
-        };
-        if (const char *v = arg("--strategy")) {
-            strategies = splitList(v);
-        } else if (const char *v2 = arg("--pus")) {
-            pus.clear();
-            for (const auto &p : splitList(v2))
-                pus.push_back(unsigned(atoi(p.c_str())));
-        } else if (const char *v3 = arg("--jobs")) {
-            jobs = report::parseUnsigned<unsigned>("--jobs", v3);
-        } else if (const char *v4 = arg("--json")) {
-            json_path = v4;
-        } else if (const char *v5 = arg("--csv")) {
-            csv_path = v5;
-        } else if (const char *v6 = arg("--targets")) {
-            targets = unsigned(atoi(v6));
-        } else if (const char *v7 = arg("--insts")) {
-            insts = uint64_t(atoll(v7));
-        } else if (const char *v8 = arg("--cache-dir")) {
-            cache_dir = v8;
-        } else if (const char *v9 = arg("--timeout-ms")) {
-            budget.wallMs = uint32_t(atoll(v9));
-        } else if (const char *v10 = arg("--max-fuel")) {
-            budget.maxFuel = uint64_t(atoll(v10));
-        } else if (const char *v11 = arg("--max-cycles")) {
-            budget.maxSimCycles = uint64_t(atoll(v11));
-        } else if (const char *v12 = arg("--core")) {
-            if (!arch::parseCoreMode(v12, core))
-                throw std::runtime_error("bad --core value " +
-                                         std::string(v12));
-        } else if (const char *v13 = arg("--connect")) {
-            remote.spec = v13;
-        } else if (a == "--in-order") {
-            ooo = false;
-        } else if (a == "--size") {
-            size_heur = true;
-        } else if (a == "--small") {
-            scale = workloads::Scale::Small;
-        } else if (a.size() >= 2 && a[0] == '-' && a[1] == '-') {
-            throw std::runtime_error("unknown flag " + a);
-        } else {
-            names.push_back(a);
-        }
+    report::FlagSet flags()
+    {
+        report::FlagSet f("msctool sweep",
+                          "Run a workload x strategy x PU grid; exit "
+                          "0 clean, 1 all failed, 3 partial.");
+        f.positionals(&names, "[workloads...]");
+        cell.declare(f);
+        declareBudget(f, budget);
+        f.flag("--small", &small, "test-scale workloads");
+        f.flag("--jobs", &jobs, "N", "worker threads (default 0 = all "
+                                     "cores)");
+        f.flag("--json", &jsonPath, "FILE", "write the msc.sweep document");
+        f.flag("--csv", &csvPath, "FILE", "write flat CSV results");
+        f.flag("--cache-dir", &cacheDir, "DIR",
+               "persist stage artifacts on disk (docs/API.md)");
+        return f;
     }
-    if (remote.enabled()) {
-        remote.reject(!cache_dir.empty(), "--cache-dir");
-        remote.reject(jobs != 0, "--jobs");
-        remote.reject(!csv_path.empty(), "--csv");
+
+    int run() const
+    {
         client::RequestBuilder req =
             client::RequestBuilder::sweep("sweep-cli");
         if (!names.empty())
-            req.workloads(names);  // else: server default = all
-        req.strategies(strategies)
-            .pus(pus)
-            .smallScale(scale == workloads::Scale::Small)
-            .insts(insts)
-            .targets(targets)
-            .inOrder(!ooo)
-            .sizeHeuristic(size_heur)
-            .core(arch::coreModeName(core))
-            .budget(budget);
-        return streamRemoteSweep(remote, req, json_path);
-    }
-    if (names.empty())
-        for (const auto &w : workloads::allWorkloads())
-            names.push_back(w.name);
+            req.workloads(names);  // else: all bundled workloads
+        cell.apply(req);
+        req.smallScale(small).budget(budget);
+        const Remote &remote = cell.remote;
+        if (remote.enabled()) {
+            remote.reject(!cacheDir.empty(), "--cache-dir");
+            remote.reject(jobs != 0, "--jobs");
+            remote.reject(!csvPath.empty(), "--csv");
+            return streamRemoteSweep(remote, req, jsonPath);
+        }
+        std::vector<report::RunSpec> specs = localSpecs(req);
 
-    std::vector<report::RunSpec> specs;
-    for (const auto &n : names)
-        for (const auto &s : strategies)
-            for (unsigned p : pus) {
-                report::RunSpec sp = report::makeSpec(
-                    n, report::strategyFromId(s), p, ooo, scale, insts,
-                    size_heur, targets);
-                sp.opts.budget = budget;
-                sp.opts.config.coreMode = core;
-                specs.push_back(std::move(sp));
+        report::SweepRunner runner(jobs);
+        size_t per_workload = cell.strategies.size() * cell.pus.size();
+        std::fprintf(stderr, "sweep: %zu runs (%zu workloads x %zu "
+                             "strategies x %zu PU configs) on %u "
+                             "threads\n",
+                     specs.size(), specs.size() / per_workload,
+                     cell.strategies.size(), cell.pus.size(),
+                     runner.jobs());
+        pipeline::SessionPool pool(pipeline::SessionConfig{cacheDir});
+        std::vector<report::RunRecord> records = runner.run(specs, pool);
+        std::fprintf(stderr, "sweep: artifact cache: %s\n",
+                     pool.stats().summary().c_str());
+
+        std::printf("%-28s %8s %9s %7s %7s %8s\n", "run", "IPC",
+                    "cycles", "tasks", "tpred%", "span");
+        size_t failed = 0;
+        for (const auto &r : records) {
+            if (r.ok()) {
+                std::printf("%-28s %8.3f %9llu %7llu %7.2f %8.0f\n",
+                            r.spec.id.c_str(), r.stats.ipc(),
+                            (unsigned long long)r.stats.cycles,
+                            (unsigned long long)r.stats.dynTasks,
+                            r.stats.taskMispredictPct(),
+                            r.stats.measuredWindowSpan);
+            } else {
+                ++failed;
+                std::printf("%-28s ERROR %s\n", r.spec.id.c_str(),
+                            r.error.render().c_str());
             }
-
-    report::SweepRunner runner(jobs);
-    std::fprintf(stderr, "sweep: %zu runs (%zu workloads x %zu "
-                         "strategies x %zu PU configs) on %u threads\n",
-                 specs.size(), names.size(), strategies.size(),
-                 pus.size(), runner.jobs());
-    pipeline::SessionPool pool(pipeline::SessionConfig{cache_dir});
-    std::vector<report::RunRecord> records = runner.run(specs, pool);
-    std::fprintf(stderr, "sweep: artifact cache: %s\n",
-                 pool.stats().summary().c_str());
-
-    std::printf("%-28s %8s %9s %7s %7s %8s\n", "run", "IPC", "cycles",
-                "tasks", "tpred%", "span");
-    size_t failed = 0;
-    for (const auto &r : records) {
-        if (r.ok()) {
-            std::printf("%-28s %8.3f %9llu %7llu %7.2f %8.0f\n",
-                        r.spec.id.c_str(), r.stats.ipc(),
-                        (unsigned long long)r.stats.cycles,
-                        (unsigned long long)r.stats.dynTasks,
-                        r.stats.taskMispredictPct(),
-                        r.stats.measuredWindowSpan);
-        } else {
-            ++failed;
-            std::printf("%-28s ERROR %s\n", r.spec.id.c_str(),
-                        r.error.render().c_str());
         }
-    }
-    if (failed)
-        std::fprintf(stderr, "sweep: %zu of %zu runs failed "
-                             "(results are partial)\n",
-                     failed, records.size());
+        if (failed)
+            std::fprintf(stderr, "sweep: %zu of %zu runs failed "
+                                 "(results are partial)\n",
+                         failed, records.size());
 
-    if (!json_path.empty()) {
-        report::writeFile(json_path,
-                          report::sweepToJson(records).dump(2));
-        std::fprintf(stderr, "sweep: wrote %zu runs to %s\n",
-                     records.size(), json_path.c_str());
+        if (!jsonPath.empty()) {
+            report::writeFile(jsonPath,
+                              report::sweepToJson(records).dump(2));
+            std::fprintf(stderr, "sweep: wrote %zu runs to %s\n",
+                         records.size(), jsonPath.c_str());
+        }
+        if (!csvPath.empty()) {
+            report::writeFile(csvPath, report::sweepToCsv(records));
+            std::fprintf(stderr, "sweep: wrote %zu runs to %s\n",
+                         records.size(), csvPath.c_str());
+        }
+        return report::sweepExitCode(records);
     }
-    if (!csv_path.empty()) {
-        report::writeFile(csv_path, report::sweepToCsv(records));
-        std::fprintf(stderr, "sweep: wrote %zu runs to %s\n",
-                     records.size(), csv_path.c_str());
-    }
-    return report::sweepExitCode(records);
-}
+};
 
-int
-cmdTrace(int argc, char **argv)
+struct TraceVerb
 {
-    std::string spec = argv[0];
-    tasksel::SelectionOptions sel;
-    uint64_t trace_insts = 400'000;
-    unsigned pus = 4;
-    bool ooo = true;
-    std::string out_path, prof_path;
-    unsigned top_n = 10;
-    bool phase_spans = false, check = false;
-    arch::CoreMode core = arch::CoreMode::Event;
-    Remote remote;
+    std::string spec, outPath, profPath;
+    CellArgs cell{false, {"dd"}, {4}, 400'000};
+    unsigned topN = 10;
+    bool phaseSpans = false, check = false;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto arg = [&](const char *name) -> const char * {
-            if (a != name)
-                return nullptr;
-            if (i + 1 >= argc)
-                throw std::runtime_error(std::string(name) +
-                                         " needs a value");
-            return argv[++i];
-        };
-        if (const char *v = arg("--pus")) {
-            pus = unsigned(atoi(v));
-        } else if (const char *v2 = arg("--strategy")) {
-            sel.strategy = report::strategyFromId(v2);
-        } else if (const char *v3 = arg("--targets")) {
-            sel.maxTargets = unsigned(atoi(v3));
-        } else if (const char *v4 = arg("--insts")) {
-            trace_insts = uint64_t(atoll(v4));
-        } else if (const char *v5 = arg("--out")) {
-            out_path = v5;
-        } else if (const char *v6 = arg("--taskprof")) {
-            prof_path = v6;
-        } else if (const char *v7 = arg("--top")) {
-            top_n = unsigned(atoi(v7));
-        } else if (const char *v9 = arg("--connect")) {
-            remote.spec = v9;
-        } else if (const char *v8 = arg("--core")) {
-            if (!arch::parseCoreMode(v8, core))
-                throw std::runtime_error("bad --core value " +
-                                         std::string(v8));
-        } else if (a == "--in-order") {
-            ooo = false;
-        } else if (a == "--size") {
-            sel.taskSizeHeuristic = true;
-        } else if (a == "--phase-times") {
-            phase_spans = true;
-        } else if (a == "--check") {
-            check = true;
-        } else {
-            throw std::runtime_error("unknown flag " + a);
-        }
+    report::FlagSet flags()
+    {
+        report::FlagSet f("msctool trace",
+                          "Full pipeline with task-lifecycle tracing.");
+        f.positional(&spec, "<workload|file.mir>");
+        cell.declare(f);
+        f.flag("--out", &outPath, "FILE", "write the Perfetto timeline");
+        f.flag("--taskprof", &profPath, "FILE",
+               "write the msc.taskprof profile");
+        f.flag("--top", &topN, "N", "hot-task table rows (default 10)");
+        f.flag("--phase-times", &phaseSpans,
+               "add wall-clock pipeline phases to the timeline");
+        f.flag("--check", &check,
+               "verify the span-vs-SimStats accounting invariant");
+        return f;
     }
-    if (remote.enabled()) {
-        remote.reject(check, "--check");
-        remote.reject(phase_spans, "--phase-times");
-        remote.reject(spec.size() > 4 && spec.compare(spec.size() - 4,
-                                                      4, ".mir") == 0,
-                      "a .mir file");
+
+    int run() const
+    {
         client::RequestBuilder req =
             client::RequestBuilder::trace("trace-cli", spec);
-        req.strategy(report::strategyId(sel.strategy))
-            .pusCount(pus)
-            .smallScale(true)
-            .insts(trace_insts)
-            .targets(sel.maxTargets)
-            .inOrder(!ooo)
-            .sizeHeuristic(sel.taskSizeHeuristic)
-            .core(arch::coreModeName(core))
-            .includeTrace(!out_path.empty());
+        cell.apply(req);
+        req.smallScale(true).includeTrace(!outPath.empty());
+        const Remote &remote = cell.remote;
+        if (remote.enabled()) {
+            remote.reject(check, "--check");
+            remote.reject(phaseSpans, "--phase-times");
+            remote.reject(isMirFile(spec), "a .mir file");
+            return runRemote(remote, req);
+        }
+        report::RunSpec sp = localSpecs(req).front();
+        pipeline::StageOptions o = sp.opts;
+        const unsigned pus = o.config.numPUs;
+
+        obs::PerfettoTraceWriter writer(pus, spec);
+        obs::TaskProfiler prof;
+        obs::SpanAccounting xcheck(pus);
+        obs::TeeSink tee({&writer, &prof, &xcheck});
+        obs::PhaseTimes phases;
+        o.sink = &tee;
+        o.phaseTimes = &phases;
+
+        pipeline::Session session(loadProgram(spec));
+        pipeline::StageResults res = session.runAll(o);
+        const tasksel::TaskPartition &partition =
+            res.partition->partition;
+        const arch::SimStats &st = res.sim->stats;
+
+        // Host-time breakdown goes to stderr (and, on request, into
+        // the trace file) — never into structured result documents.
+        std::fprintf(stderr, "pipeline wall-clock phases:\n%s",
+                     obs::formatPhaseTimes(phases).c_str());
+        if (phaseSpans)
+            writer.addPhaseSpans(phases);
+
+        std::printf("%s | %s tasks | %u %s PUs | %llu cycles | IPC %.3f\n",
+                    spec.c_str(), tasksel::strategyName(o.sel.strategy),
+                    pus, o.config.outOfOrder ? "out-of-order" : "in-order",
+                    (unsigned long long)st.cycles, st.ipc());
+        std::printf("%s", arch::formatBuckets(st).c_str());
+        std::printf("hot static tasks (of %zu in partition):\n%s",
+                    partition.size(),
+                    obs::formatHotTasks(prof, partition, topN).c_str());
+
+        if (!outPath.empty()) {
+            writer.write(outPath);
+            std::fprintf(stderr, "trace: wrote %s\n", outPath.c_str());
+        }
+        if (!profPath.empty()) {
+            report::writeFile(
+                profPath,
+                obs::taskProfileToJson(prof, partition, spec).dump(2));
+            std::fprintf(stderr, "trace: wrote %s\n", profPath.c_str());
+        }
+        return check ? verify(writer, xcheck, st, pus) : 0;
+    }
+
+    int runRemote(const Remote &remote,
+                  const client::RequestBuilder &req) const
+    {
         client::ClientConn conn(remote.endpoint());
         client::ResponseFrame last = conn.call(req);
         if (last.type == client::ResponseFrame::Type::Error) {
@@ -619,205 +639,139 @@ cmdTrace(int argc, char **argv)
         std::fprintf(out, "%-28s %8s %9s %7s %7s %8s\n", "run", "IPC",
                      "cycles", "tasks", "tpred%", "span");
         printRunRow(out, last.raw.get("run"));
-        if (!out_path.empty()) {
-            report::writeFile(out_path,
-                              last.raw.get("trace").dump());
-            std::fprintf(stderr, "trace: wrote %s\n",
-                         out_path.c_str());
+        if (!outPath.empty()) {
+            report::writeFile(outPath, last.raw.get("trace").dump());
+            std::fprintf(stderr, "trace: wrote %s\n", outPath.c_str());
         }
-        if (!prof_path.empty()) {
-            report::writeFile(prof_path,
+        if (!profPath.empty()) {
+            report::writeFile(profPath,
                               last.raw.get("taskprof").dump(2));
-            std::fprintf(stderr, "trace: wrote %s\n",
-                         prof_path.c_str());
+            std::fprintf(stderr, "trace: wrote %s\n", profPath.c_str());
         }
         // The hot-task table stays host-side (it needs the partition
         // object); the taskprof file carries the per-task data.
         return 0;
     }
-    pipeline::StageOptions o = pipeline::StageOptions::fromSelection(sel);
-    o.trace.traceInsts = trace_insts;
-    o.config = arch::SimConfig::paperConfig(pus, ooo);
-    o.config.maxTargets = sel.maxTargets;
-    o.config.coreMode = core;
 
-    obs::PerfettoTraceWriter writer(pus, spec);
-    obs::TaskProfiler prof;
-    obs::SpanAccounting xcheck(pus);
-    obs::TeeSink tee({&writer, &prof, &xcheck});
-    obs::PhaseTimes phases;
-    o.sink = &tee;
-    o.phaseTimes = &phases;
-
-    pipeline::Session session(loadProgram(spec));
-    pipeline::StageResults res = session.runAll(o);
-    const tasksel::TaskPartition &partition = res.partition->partition;
-    const arch::SimStats &st = res.sim->stats;
-
-    // Host-time breakdown goes to stderr (and, on request, into the
-    // trace file) — never into structured result documents.
-    std::fprintf(stderr, "pipeline wall-clock phases:\n%s",
-                 obs::formatPhaseTimes(phases).c_str());
-    if (phase_spans)
-        writer.addPhaseSpans(phases);
-
-    std::printf("%s | %s tasks | %u %s PUs | %llu cycles | IPC %.3f\n",
-                spec.c_str(), tasksel::strategyName(sel.strategy),
-                pus, ooo ? "out-of-order" : "in-order",
-                (unsigned long long)st.cycles, st.ipc());
-    std::printf("%s", arch::formatBuckets(st).c_str());
-    std::printf("hot static tasks (of %zu in partition):\n%s",
-                partition.size(),
-                obs::formatHotTasks(prof, partition, top_n).c_str());
-
-    if (!out_path.empty()) {
-        writer.write(out_path);
-        std::fprintf(stderr, "trace: wrote %s\n", out_path.c_str());
-    }
-    if (!prof_path.empty()) {
-        report::writeFile(
-            prof_path,
-            obs::taskProfileToJson(prof, partition, spec).dump(2));
-        std::fprintf(stderr, "trace: wrote %s\n", prof_path.c_str());
-    }
-
-    if (!check)
-        return 0;
-
-    // The timeline must BE the accounting: live event sums first,
-    // then the emitted JSON re-parsed and re-summed per PU.
-    std::string err = xcheck.verify(st);
-    if (!err.empty()) {
-        std::fprintf(stderr,
-                     "trace: accounting cross-check FAILED: %s\n",
-                     err.c_str());
-        return 1;
-    }
-
-    std::string text;
-    if (out_path.empty()) {
-        text = writer.str();
-    } else {
-        std::ifstream in(out_path, std::ios::binary);
-        std::ostringstream ss;
-        ss << in.rdbuf();
-        text = ss.str();
-    }
-    report::Json doc = report::Json::parse(text);
-    const report::Json &events = doc.get("traceEvents");
-    std::vector<uint64_t> per_pu(pus, 0);
-    for (size_t i = 0; i < events.size(); ++i) {
-        const report::Json &e = events.at(i);
-        const std::string &ph = e.get("ph").asString();
-        if (e.get("ts").asDouble() < 0 ||
-            (e.find("dur") && e.get("dur").asDouble() < 0))
-            throw std::runtime_error("negative ts/dur in trace event");
-        if (ph != "X" ||
-            e.get("pid").asInt() != obs::PerfettoTraceWriter::PID_SIM)
-            continue;
-        per_pu.at(size_t(e.get("tid").asInt())) += e.get("dur").asUInt();
-    }
-    for (unsigned pu = 0; pu < pus; ++pu) {
-        if (per_pu[pu] != st.puOccupiedCycles[pu]) {
+    /** The timeline must BE the accounting: live event sums first,
+     *  then the emitted JSON re-parsed and re-summed per PU. */
+    int verify(const obs::PerfettoTraceWriter &writer,
+               const obs::SpanAccounting &xcheck,
+               const arch::SimStats &st, unsigned pus) const
+    {
+        std::string err = xcheck.verify(st);
+        if (!err.empty()) {
             std::fprintf(stderr,
-                         "trace: emitted file cross-check FAILED: PU %u "
-                         "spans %llu != accounted %llu\n",
-                         pu, (unsigned long long)per_pu[pu],
-                         (unsigned long long)st.puOccupiedCycles[pu]);
+                         "trace: accounting cross-check FAILED: %s\n",
+                         err.c_str());
             return 1;
         }
-    }
-    std::fprintf(stderr,
-                 "trace: accounting cross-check passed (%zu events, "
-                 "%u PUs)\n",
-                 events.size(), pus);
-    return 0;
-}
 
-int
-cmdFuzz(int argc, char **argv)
+        std::string text;
+        if (outPath.empty()) {
+            text = writer.str();
+        } else {
+            std::ifstream in(outPath, std::ios::binary);
+            std::ostringstream ss;
+            ss << in.rdbuf();
+            text = ss.str();
+        }
+        report::Json doc = report::Json::parse(text);
+        const report::Json &events = doc.get("traceEvents");
+        std::vector<uint64_t> per_pu(pus, 0);
+        for (size_t i = 0; i < events.size(); ++i) {
+            const report::Json &e = events.at(i);
+            const std::string &ph = e.get("ph").asString();
+            if (e.get("ts").asDouble() < 0 ||
+                (e.find("dur") && e.get("dur").asDouble() < 0))
+                throw std::runtime_error(
+                    "negative ts/dur in trace event");
+            if (ph != "X" ||
+                e.get("pid").asInt() != obs::PerfettoTraceWriter::PID_SIM)
+                continue;
+            per_pu.at(size_t(e.get("tid").asInt())) +=
+                e.get("dur").asUInt();
+        }
+        for (unsigned pu = 0; pu < pus; ++pu) {
+            if (per_pu[pu] != st.puOccupiedCycles[pu]) {
+                std::fprintf(
+                    stderr,
+                    "trace: emitted file cross-check FAILED: PU %u "
+                    "spans %llu != accounted %llu\n",
+                    pu, (unsigned long long)per_pu[pu],
+                    (unsigned long long)st.puOccupiedCycles[pu]);
+                return 1;
+            }
+        }
+        std::fprintf(stderr,
+                     "trace: accounting cross-check passed (%zu events, "
+                     "%u PUs)\n",
+                     events.size(), pus);
+        return 0;
+    }
+};
+
+struct FuzzVerb
 {
     fuzz::CampaignOptions o;
-    o.jobs = 0;                        // default: all cores
-    bool quiet = false;
+    bool noShrink = false, quiet = false;
 
-    for (int i = 0; i < argc; ++i) {
-        std::string a = argv[i];
-        auto arg = [&](const char *name) -> const char * {
-            if (a != name)
-                return nullptr;
-            if (i + 1 >= argc)
-                throw std::runtime_error(std::string(name) +
-                                         " needs a value");
-            return argv[++i];
-        };
-        if (const char *v = arg("--count")) {
-            o.count = report::parseUnsigned("--count", v);
-        } else if (const char *v2 = arg("--seed")) {
-            o.seedBase = report::parseUnsigned("--seed", v2);
-        } else if (const char *v3 = arg("--jobs")) {
-            o.jobs = report::parseUnsigned<unsigned>("--jobs", v3);
-        } else if (const char *v4 = arg("--size")) {
-            o.gen.sizeClass = unsigned(atoi(v4));
-        } else if (const char *v5 = arg("--max-insts")) {
-            o.maxInsts = uint64_t(atoll(v5));
-        } else if (const char *v6 = arg("--corpus-dir")) {
-            o.corpusDir = v6;
-        } else if (const char *v7 = arg("--timeout-ms")) {
-            o.budget.wallMs = uint32_t(atoll(v7));
-        } else if (const char *v8 = arg("--max-fuel")) {
-            o.budget.maxFuel = uint64_t(atoll(v8));
-        } else if (a == "--no-shrink") {
-            o.shrinkFailures = false;
-        } else if (a == "--quiet") {
-            quiet = true;
-        } else {
-            throw std::runtime_error("unknown flag " + a);
-        }
+    FuzzVerb() { o.jobs = 0; }  // all cores
+
+    report::FlagSet flags()
+    {
+        report::FlagSet f("msctool fuzz",
+                          "Differential fuzzing; nonzero exit on any "
+                          "divergence.");
+        f.flag("--count", &o.count, "N", "programs to generate "
+                                         "(default 200)");
+        f.flag("--seed", &o.seedBase, "S", "first seed (default 0)");
+        f.flag("--jobs", &o.jobs, "N", "worker threads (default 0 = "
+                                       "all cores)");
+        f.flag("--max-insts", &o.maxInsts, "N",
+               "per-program instruction cap (default 2000000)");
+        f.flag("--corpus-dir", &o.corpusDir, "DIR",
+               "write shrunk reproducers here");
+        f.flag("--no-shrink", &noShrink, "keep failing programs as "
+                                         "generated");
+        f.flag("--quiet", &quiet, "print only the summary line");
+        declareBudget(f, o.budget, /*cycles=*/false);
+        return f;
     }
 
-    report::SweepRunner pool(o.jobs);
-    std::fprintf(stderr,
-                 "fuzz: seeds [%llu, %llu) on %u threads, "
-                 "%zu configs per seed\n",
-                 (unsigned long long)o.seedBase,
-                 (unsigned long long)(o.seedBase + o.count),
-                 pool.jobs(), fuzz::defaultConfigs().size());
+    int run()
+    {
+        o.shrinkFailures = !noShrink;
+        report::SweepRunner pool(o.jobs);
+        std::fprintf(stderr,
+                     "fuzz: seeds [%llu, %llu) on %u threads, "
+                     "%zu configs per seed\n",
+                     (unsigned long long)o.seedBase,
+                     (unsigned long long)(o.seedBase + o.count),
+                     pool.jobs(), fuzz::defaultConfigs().size());
 
-    fuzz::CampaignResult r = fuzz::runCampaign(o);
+        fuzz::CampaignResult r = fuzz::runCampaign(o);
 
-    if (!quiet) {
-        for (const auto &f : r.failures) {
-            std::printf("seed %llu: %s", (unsigned long long)f.seed,
-                        fuzz::diffKindName(f.diff.kind));
-            if (!f.diff.config.empty())
-                std::printf(" [%s]", f.diff.config.c_str());
-            if (!f.diff.detail.empty())
-                std::printf(": %s", f.diff.detail.c_str());
-            if (!f.reproPath.empty())
-                std::printf(" -> %s", f.reproPath.c_str());
-            std::printf("\n");
+        if (!quiet) {
+            for (const auto &f : r.failures) {
+                std::printf("seed %llu: %s",
+                            (unsigned long long)f.seed,
+                            fuzz::diffKindName(f.diff.kind));
+                if (!f.diff.config.empty())
+                    std::printf(" [%s]", f.diff.config.c_str());
+                if (!f.diff.detail.empty())
+                    std::printf(": %s", f.diff.detail.c_str());
+                if (!f.reproPath.empty())
+                    std::printf(" -> %s", f.reproPath.c_str());
+                std::printf("\n");
+            }
         }
+        std::printf("fuzz: %llu programs, %zu divergence%s\n",
+                    (unsigned long long)r.executed, r.failures.size(),
+                    r.failures.size() == 1 ? "" : "s");
+        return r.ok() ? 0 : 1;
     }
-    std::printf("fuzz: %llu programs, %zu divergence%s\n",
-                (unsigned long long)r.executed, r.failures.size(),
-                r.failures.size() == 1 ? "" : "s");
-    return r.ok() ? 0 : 1;
-}
-
-int
-cmdVersion()
-{
-    std::printf("msctool protocol %d\n"
-                "  %s schema v%d\n"
-                "  %s schema v%d\n"
-                "  %s schema v%d\n",
-                serve::PROTOCOL_VERSION, report::SCHEMA_NAME,
-                report::SCHEMA_VERSION, obs::TASKPROF_SCHEMA_NAME,
-                obs::TASKPROF_SCHEMA_VERSION, obs::METRICS_SCHEMA_NAME,
-                obs::METRICS_SCHEMA_VERSION);
-    return 0;
-}
+};
 
 /** Renders a `msc.metrics` document as a human table: counters and
  *  gauges name/value, histograms count/sum/mean. */
@@ -843,155 +797,176 @@ renderStatsTable(std::FILE *out, const report::Json &m)
     }
 }
 
-int
-cmdStats(int argc, char **argv)
+struct StatsVerb
 {
     Remote remote;
-    bool raw_json = false, prom = false;
+    bool rawJson = false, prom = false;
 
-    for (int i = 0; i < argc; ++i) {
-        std::string a = argv[i];
-        auto arg = [&](const char *name) -> const char * {
-            if (a != name)
-                return nullptr;
-            if (i + 1 >= argc)
-                throw std::runtime_error(std::string(name) +
-                                         " needs a value");
-            return argv[++i];
-        };
-        if (const char *v = arg("--connect")) {
-            remote.spec = v;
-        } else if (a == "--json") {
-            raw_json = true;
-        } else if (a == "--prom") {
-            prom = true;
-        } else {
-            throw std::runtime_error("unknown flag " + a);
+    report::FlagSet flags()
+    {
+        report::FlagSet f("msctool stats",
+                          "Query a live daemon's telemetry (needs "
+                          "--connect).");
+        remote.declare(f);
+        f.flag("--json", &rawJson, "print the raw msc.metrics document");
+        f.flag("--prom", &prom, "print Prometheus text exposition");
+        return f;
+    }
+
+    int run() const
+    {
+        if (!remote.enabled())
+            throw std::runtime_error("stats needs --connect ENDPOINT");
+
+        std::FILE *out = remote.out();
+        client::ClientConn conn(remote.endpoint());
+        client::RequestBuilder req =
+            client::RequestBuilder::stats("stats-cli");
+        if (prom)
+            req.format("prometheus");
+
+        client::ResponseFrame last = conn.call(req);
+        if (last.type != client::ResponseFrame::Type::Result) {
+            std::fprintf(stderr, "msctool: stats failed: %s\n",
+                         last.error.render().c_str());
+            return 1;
         }
+        if (prom)
+            std::fprintf(out, "%s",
+                         last.raw.get("prometheus").asString().c_str());
+        else if (rawJson)
+            std::fprintf(out, "%s\n",
+                         last.raw.get("metrics").dump(2).c_str());
+        else
+            renderStatsTable(out, last.raw.get("metrics"));
+        return 0;
     }
-    if (!remote.enabled())
-        throw std::runtime_error("stats needs --connect ENDPOINT");
+};
 
-    std::FILE *out = remote.out();
-    client::ClientConn conn(remote.endpoint());
-    client::RequestBuilder req =
-        client::RequestBuilder::stats("stats-cli");
-    if (prom)
-        req.format("prometheus");
-
-    client::ResponseFrame last = conn.call(req);
-    if (last.type != client::ResponseFrame::Type::Result) {
-        std::fprintf(stderr, "msctool: stats failed: %s\n",
-                     last.error.render().c_str());
-        return 1;
-    }
-    if (prom)
-        std::fprintf(out, "%s",
-                     last.raw.get("prometheus").asString().c_str());
-    else if (raw_json)
-        std::fprintf(out, "%s\n",
-                     last.raw.get("metrics").dump(2).c_str());
-    else
-        renderStatsTable(out, last.raw.get("metrics"));
-    return 0;
-}
-
-int
-cmdCancel(int argc, char **argv)
+struct CancelVerb
 {
-    std::string target = argv[0];
+    std::string target;
     Remote remote;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--connect" && i + 1 < argc) {
-            remote.spec = argv[++i];
-        } else {
-            throw std::runtime_error("unknown flag " + a);
-        }
+    report::FlagSet flags()
+    {
+        report::FlagSet f("msctool cancel",
+                          "Cancel a live daemon's in-flight request "
+                          "(needs --connect).");
+        f.positional(&target, "<request-id>");
+        remote.declare(f);
+        return f;
     }
-    if (!remote.enabled())
-        throw std::runtime_error("cancel needs --connect ENDPOINT");
 
-    client::ClientConn conn(remote.endpoint());
-    client::ResponseFrame last =
-        conn.call(client::RequestBuilder::cancel("cancel-cli", target));
-    if (last.type != client::ResponseFrame::Type::Result) {
-        std::fprintf(stderr, "msctool: cancel failed: %s\n",
-                     last.error.render().c_str());
+    int run() const
+    {
+        if (!remote.enabled())
+            throw std::runtime_error("cancel needs --connect ENDPOINT");
+
+        client::ClientConn conn(remote.endpoint());
+        client::ResponseFrame last = conn.call(
+            client::RequestBuilder::cancel("cancel-cli", target));
+        if (last.type != client::ResponseFrame::Type::Result) {
+            std::fprintf(stderr, "msctool: cancel failed: %s\n",
+                         last.error.render().c_str());
+            return 1;
+        }
+        bool found = last.raw.get("found").asBool();
+        std::fprintf(remote.out(), "cancel %s: %s\n", target.c_str(),
+                     found ? "delivered" : "no such in-flight request");
+        return found ? 0 : 1;
+    }
+};
+
+struct VersionVerb
+{
+    report::FlagSet flags()
+    {
+        return report::FlagSet("msctool version",
+                               "Print the protocol and schema "
+                               "versions.");
+    }
+
+    int run() const
+    {
+        std::printf("msctool protocol %d\n"
+                    "  %s schema v%d\n"
+                    "  %s schema v%d\n"
+                    "  %s schema v%d\n",
+                    serve::PROTOCOL_VERSION, report::SCHEMA_NAME,
+                    report::SCHEMA_VERSION, obs::TASKPROF_SCHEMA_NAME,
+                    obs::TASKPROF_SCHEMA_VERSION,
+                    obs::METRICS_SCHEMA_NAME,
+                    obs::METRICS_SCHEMA_VERSION);
+        return 0;
+    }
+};
+
+/** Parses @p argv into a fresh V and runs it. A flag error prints the
+ *  message and V's usage and exits 1, like every other usage error. */
+template <class V>
+int
+invoke(int argc, char **argv)
+{
+    V v;
+    report::FlagSet f = v.flags();
+    try {
+        f.parse(argc, argv);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "msctool: %s\nusage: %s", e.what(),
+                     f.usage().c_str());
         return 1;
     }
-    bool found = last.raw.get("found").asBool();
-    std::fprintf(remote.out(), "cancel %s: %s\n", target.c_str(),
-                 found ? "delivered" : "no such in-flight request");
-    return found ? 0 : 1;
+    return v.run();
 }
+
+template <class V>
+std::string
+usageOf()
+{
+    V v;
+    return v.flags().usage();
+}
+
+struct Verb
+{
+    const char *name;
+    bool needsOperand;  ///< Bare `msctool <name>` prints usage, exit 2.
+    int (*invoke)(int, char **);
+    std::string (*usage)();
+};
+
+constexpr Verb VERBS[] = {
+    {"list", false, invoke<ListVerb>, usageOf<ListVerb>},
+    {"disasm", true, invoke<DisasmVerb>, usageOf<DisasmVerb>},
+    {"exec", true, invoke<ExecVerb>, usageOf<ExecVerb>},
+    {"run", true, invoke<RunVerb>, usageOf<RunVerb>},
+    {"sweep", false, invoke<SweepVerb>, usageOf<SweepVerb>},
+    {"trace", true, invoke<TraceVerb>, usageOf<TraceVerb>},
+    {"fuzz", false, invoke<FuzzVerb>, usageOf<FuzzVerb>},
+    {"stats", false, invoke<StatsVerb>, usageOf<StatsVerb>},
+    {"cancel", true, invoke<CancelVerb>, usageOf<CancelVerb>},
+    {"version", false, invoke<VersionVerb>, usageOf<VersionVerb>},
+};
 
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    try {
-        if (argc >= 2 && std::strcmp(argv[1], "list") == 0)
-            return cmdList();
-        if (argc >= 3 && std::strcmp(argv[1], "disasm") == 0)
-            return cmdDisasm(argv[2]);
-        if (argc >= 3 && std::strcmp(argv[1], "exec") == 0)
-            return cmdExec(argv[2]);
-        if (argc >= 3 && std::strcmp(argv[1], "run") == 0)
-            return cmdRun(argc - 2, argv + 2);
-        if (argc >= 2 && std::strcmp(argv[1], "sweep") == 0)
-            return cmdSweep(argc - 2, argv + 2);
-        if (argc >= 2 && std::strcmp(argv[1], "fuzz") == 0)
-            return cmdFuzz(argc - 2, argv + 2);
-        if (argc >= 3 && std::strcmp(argv[1], "trace") == 0)
-            return cmdTrace(argc - 2, argv + 2);
-        if (argc >= 2 && std::strcmp(argv[1], "stats") == 0)
-            return cmdStats(argc - 2, argv + 2);
-        if (argc >= 3 && std::strcmp(argv[1], "cancel") == 0)
-            return cmdCancel(argc - 2, argv + 2);
-        if (argc >= 2 && std::strcmp(argv[1], "version") == 0)
-            return cmdVersion();
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "msctool: %s\n", e.what());
-        return 1;
+    for (const Verb &v : VERBS) {
+        if (argc < 2 || std::strcmp(argv[1], v.name) != 0 ||
+            (v.needsOperand && argc < 3))
+            continue;
+        try {
+            return v.invoke(argc - 2, argv + 2);
+        } catch (const std::exception &e) {
+            std::fprintf(stderr, "msctool: %s\n", e.what());
+            return 1;
+        }
     }
-    std::fprintf(stderr,
-                 "usage: msctool list\n"
-                 "       msctool disasm <workload|file.mir>\n"
-                 "       msctool exec   <workload|file.mir>\n"
-                 "       msctool run    <workload|file.mir> [--pus N]\n"
-                 "              [--strategy bb|cf|dd] [--in-order]\n"
-                 "              [--size] [--targets N] [--insts N]\n"
-                 "              [--cache-dir DIR] [--timeout-ms N]\n"
-                 "              [--max-fuel N] [--max-cycles N]\n"
-                 "              [--core cycle|event]\n"
-                 "       msctool sweep  [workloads...]\n"
-                 "              [--strategy bb,cf,dd] [--pus 4,8]\n"
-                 "              [--jobs N] [--json file] [--csv file]\n"
-                 "              [--in-order] [--size] [--targets N]\n"
-                 "              [--insts N] [--small] [--cache-dir DIR]\n"
-                 "              [--timeout-ms N] [--max-fuel N]\n"
-                 "              [--max-cycles N] [--core cycle|event]\n"
-                 "              exit: 0 clean, 1 all failed, 3 partial\n"
-                 "       msctool fuzz   [--count N] [--seed S]\n"
-                 "              [--jobs N] [--size 0..3] [--max-insts N]\n"
-                 "              [--corpus-dir DIR] [--no-shrink]\n"
-                 "              [--timeout-ms N] [--max-fuel N]\n"
-                 "       msctool trace  <workload|file.mir>\n"
-                 "              [--out trace.json] [--taskprof p.json]\n"
-                 "              [--pus N] [--strategy bb|cf|dd]\n"
-                 "              [--in-order] [--size] [--targets N]\n"
-                 "              [--insts N] [--top N] [--phase-times]\n"
-                 "              [--check] [--core cycle|event]\n"
-                 "       msctool stats  --connect EP [--json | --prom]\n"
-                 "       msctool cancel <request-id> --connect EP\n"
-                 "       msctool version\n"
-                 "\n"
-                 "run/sweep/trace/stats/cancel accept --connect\n"
-                 "(unix:/path | tcp:host:port | tcp:port | stdio) to\n"
-                 "execute in a live mscd or mscd --router instead of\n"
-                 "in-process.\n");
+    std::fprintf(stderr, "usage:\n");
+    for (const Verb &v : VERBS)
+        std::fprintf(stderr, "%s", v.usage().c_str());
     return 2;
 }

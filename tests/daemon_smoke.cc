@@ -4,6 +4,7 @@
  * ctest target; docs/DAEMON.md).
  *
  * Usage: daemon_smoke <path-to-mscd> <path-to-msctool>
+ *                     [<path-to-bench_daemon>]
  *
  * Proves, against the actual executables:
  *
@@ -28,7 +29,10 @@
  *     socket;
  *  7. versioning: `mscd --version` and `msctool version` exit 0 and
  *     advertise the msc.metrics schema; garbage numeric flag values
- *     (`mscd --jobs x`, `msctool fuzz --count x`) exit 1;
+ *     (`mscd --jobs x`, `msctool fuzz --count x`) exit 1, and so does
+ *     garbage on the paper's axes (PU count, strategy, targets) with
+ *     the daemon's own error text, a removed flag, or a flag missing
+ *     its value; `bench_daemon --jobs x` exits 2;
  *  8. sharding (the PR acceptance path, docs/DAEMON.md#sharding): a
  *     `mscd --router` fronting four shard daemons serves the
  *     Figure-5 sweep byte-identically to a single `mscd --stdio`
@@ -203,6 +207,17 @@ runCapture(Scratch &scratch, const std::vector<std::string> &argv,
     return out;
 }
 
+/** Runs a child to completion, returning its captured stderr (stdout
+ *  is discarded). */
+std::string
+runStderr(Scratch &scratch, std::vector<std::string> argv,
+          int *exit_code)
+{
+    argv.insert(argv.begin(),
+                {"/bin/sh", "-c", "exec \"$@\" 2>&1 >/dev/null", "sh"});
+    return runCapture(scratch, argv, exit_code);
+}
+
 /** Runs msctool with the live --stdio daemon @p d as its wire: the
  *  tool's fd0/fd1 ARE the daemon connection, so with `--connect
  *  stdio` it renders on stderr, captured into @p err. The parent
@@ -329,9 +344,9 @@ frameOf(const std::vector<report::Json> &frames, const std::string &id,
 int
 main(int argc, char **argv)
 {
-    if (argc != 3) {
-        std::fprintf(stderr,
-                     "usage: daemon_smoke <mscd> <msctool>\n");
+    if (argc != 3 && argc != 4) {
+        std::fprintf(stderr, "usage: daemon_smoke <mscd> <msctool> "
+                             "[<bench_daemon>]\n");
         return 2;
     }
     const std::string mscd = argv[1];
@@ -358,6 +373,44 @@ main(int argc, char **argv)
         CHECK(rc == 1);
         runCapture(scratch, {msctool, "fuzz", "--count", "x"}, &rc);
         CHECK(rc == 1);
+
+        // Garbage on the grid axes, a removed flag and a flag missing
+        // its value exit 1 too; local runs report the same text a
+        // daemon would send.
+        struct Garbage
+        {
+            std::vector<std::string> args;
+            const char *text;  ///< Expected in stderr.
+        };
+        const Garbage garbage[] = {
+            {{"run", "compress", "--pus", "abc"}, "--pus needs"},
+            {{"run", "compress", "--pus", "0"}, "[1, 512]"},
+            {{"run", "compress", "--strategy", "xx"}, "unknown strategy"},
+            {{"run", "compress", "--targets", "0"}, "[1, 64]"},
+            {{"run", "compress", "--pus", "1000"}, "[1, 512]"},
+            {{"sweep", "compress", "--small", "--pus", "4,x"},
+             "--pus needs"},
+            {{"trace", "compress", "--top", "x"}, "--top needs"},
+            {{"fuzz", "--size", "1"}, "unknown flag --size"},
+            {{"cancel", "r1", "--connect"}, "--connect needs a value"},
+        };
+        for (const Garbage &g : garbage) {
+            std::vector<std::string> cmd = {msctool};
+            cmd.insert(cmd.end(), g.args.begin(), g.args.end());
+            std::string err = runStderr(scratch, cmd, &rc);
+            if (rc != 1 || err.find(g.text) == std::string::npos) {
+                std::string line;
+                for (const std::string &a : g.args)
+                    line += " " + a;
+                throw std::runtime_error(
+                    "msctool" + line + ": exit " + std::to_string(rc) +
+                    ", want 1 and \"" + g.text + "\" in: " + err);
+            }
+        }
+        if (argc == 4) {
+            runStderr(scratch, {argv[3], "--jobs", "x"}, &rc);
+            CHECK(rc == 2);
+        }
 
         // ---- 1. Byte-identity against msctool sweep --json.
         std::string ref = scratch.path("ref.json");
