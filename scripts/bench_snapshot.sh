@@ -2,14 +2,15 @@
 # Performance snapshot + regression gate for the two simulator cores
 # (docs/PERFORMANCE.md describes the methodology and the JSON schema).
 #
-#   scripts/bench_snapshot.sh [--out FILE] [--jobs N] [--reps N]
+#   scripts/bench_snapshot.sh --out FILE [--jobs N] [--reps N]
 #                             [--baseline-bin PATH] [--full]
 #       Runs bench_figure5 under both cores, the quiescent
 #       micro-benchmark, bench_smoke, and the bench_daemon serving
 #       load generator (direct vs routed topology,
 #       docs/DAEMON.md#sharding); checks the byte-identity contract
-#       along the way; writes a BENCH_*.json snapshot (default
-#       BENCH_pr10.json in the repo root).
+#       along the way; writes a BENCH_*.json snapshot to FILE. --out
+#       has no default, so a run never overwrites a committed
+#       snapshot by accident.
 #
 #   scripts/bench_snapshot.sh --verify
 #       Fast gate for scripts/check.sh: bench_smoke must produce
@@ -18,10 +19,9 @@
 #       (best-of-3, 10% guard band for machine noise).
 #
 # --baseline-bin names a bench_figure5 binary built from an older
-# commit; when given, its wall-clock is recorded under "baseline" so
-# the snapshot carries a cross-commit trajectory point (the committed
-# BENCH_pr7.json uses the pre-event-core tree; PERFORMANCE.md shows
-# how to rebuild one with `git worktree`).
+# commit; when given, its wall-clock and path are recorded under
+# "baseline" so the snapshot carries a cross-commit trajectory point
+# (PERFORMANCE.md shows how to rebuild one).
 #
 # Benchmarks default to MSC_SMALL scale so the snapshot is cheap
 # enough to refresh routinely; --full runs the paper-scale inputs.
@@ -29,7 +29,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-OUT=BENCH_pr10.json
+OUT=""
 JOBS=4
 REPS=3
 BASELINE_BIN=""
@@ -46,6 +46,11 @@ while [[ $# -gt 0 ]]; do
         *) echo "unknown argument: $1" >&2; exit 2 ;;
     esac
 done
+
+if [[ "$VERIFY" == 0 && -z "$OUT" ]]; then
+    echo "error: --out FILE is required (except with --verify)" >&2
+    exit 2
+fi
 
 export MSC_SMALL=$SMALL
 
@@ -146,12 +151,12 @@ echo "== bench_daemon serving overhead (direct vs routed)"
 
 python3 - "$TMP" "$OUT" "$JOBS" "$REPS" "$SMALL" \
     "$f5_cycle_runs" "$f5_cycle_best" "$f5_event_runs" \
-    "$f5_event_best" "$BASE_RUNS" "$BASE_BEST" \
+    "$f5_event_best" "$BASELINE_BIN" "$BASE_RUNS" "$BASE_BEST" \
     "$smoke_cycle_best" "$smoke_event_best" <<'EOF'
 import json, os, platform, subprocess, sys
 
 (tmp, out, jobs, reps, small, fc_runs, fc_best, fe_runs, fe_best,
- base_runs, base_best, smoke_c, smoke_e) = sys.argv[1:]
+ base_bin, base_runs, base_best, smoke_c, smoke_e) = sys.argv[1:]
 
 def ints(csv):
     return [int(x) for x in csv.split(",")] if csv else []
@@ -228,9 +233,9 @@ doc = {
 }
 if base_best:
     doc["baseline"] = {
-        "description": "bench_figure5 built from the pre-event-core "
-                       "commit (cycle core only); see "
-                       "docs/PERFORMANCE.md for the rebuild recipe",
+        "description": "bench_figure5 at " + base_bin
+                       + "; see docs/PERFORMANCE.md for the rebuild "
+                       "recipe",
         "wall_ms": {"runs": ints(base_runs), "best": int(base_best)},
         "event_speedup_vs_baseline": round(int(base_best) / fe, 3),
     }
