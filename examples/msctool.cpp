@@ -152,21 +152,16 @@ struct Remote
     }
 };
 
-/** The flags run, trace and sweep share, and the request they build.
- *  Single-cell verbs take one strategy and one PU count; sweep takes
- *  comma lists of both. */
+/** JSON integers on the request wire are int64, so a number that
+ *  travels in a request is bounded here and its flag named on error. */
+constexpr uint64_t WIRE_MAX = INT64_MAX;
+
+/** The cell flags run, trace and sweep share. Each verb declares its
+ *  own strategy and PU axes: one value for run and trace, comma lists
+ *  for sweep. */
 struct CellArgs
 {
-    CellArgs(bool grid_, std::vector<std::string> strategies_,
-             std::vector<unsigned> pus_, uint64_t insts_)
-        : grid(grid_), strategies(std::move(strategies_)),
-          pus(std::move(pus_)), insts(insts_)
-    {}
-
-    bool grid;
-    std::vector<std::string> strategies;
-    std::vector<unsigned> pus;
-    uint64_t insts;
+    uint64_t insts = 250'000;
     unsigned targets = 4;
     bool inOrder = false;
     bool sizeHeuristic = false;
@@ -175,24 +170,12 @@ struct CellArgs
 
     void declare(report::FlagSet &f)
     {
-        if (grid) {
-            f.flag("--strategy", &strategies, "bb,cf,dd",
-                   "task-selection strategies (default bb,cf,dd)");
-            f.flag("--pus", &pus, "4,8", "PU counts (default 4,8)");
-        } else {
-            f.func("--strategy", "bb|cf|dd",
-                   "task-selection strategy (default dd)",
-                   [this](const std::string &v) { strategies = {v}; });
-            f.func("--pus", "N", "processing units (default 4)",
-                   [this](const std::string &v) {
-                       pus = {report::parseUnsigned<unsigned>("--pus", v)};
-                   });
-        }
         f.flag("--targets", &targets, "N",
                "exposed task targets N (default 4)");
         f.flag("--insts", &insts, "N",
-               grid ? "timing-trace instructions (default 250000)"
-                    : "timing-trace instructions (default 400000)");
+               "timing-trace instructions (default " +
+                   std::to_string(insts) + ")",
+               WIRE_MAX);
         f.flag("--in-order", &inOrder,
                "in-order PUs (default out-of-order)");
         f.flag("--size", &sizeHeuristic, "task-size heuristic");
@@ -204,10 +187,6 @@ struct CellArgs
     /** Sets every shared field of @p req. */
     void apply(client::RequestBuilder &req) const
     {
-        if (grid)
-            req.strategies(strategies).pus(pus);
-        else
-            req.strategy(strategies.front()).pusCount(pus.front());
         req.insts(insts)
             .targets(targets)
             .inOrder(inOrder)
@@ -215,6 +194,15 @@ struct CellArgs
             .core(core);
     }
 };
+
+/** The single-cell axes of run and trace (sweep takes lists). */
+void
+declareCellAxis(report::FlagSet &f, std::string &strategy, unsigned &pus)
+{
+    f.flag("--strategy", &strategy, "bb|cf|dd",
+           "task-selection strategy (default dd)");
+    f.flag("--pus", &pus, "N", "processing units (default 4)");
+}
 
 /** The per-cell budgets run and sweep accept (fuzz takes all but
  *  --max-cycles). */
@@ -225,10 +213,19 @@ declareBudget(report::FlagSet &f, runtime::ExecBudget &b,
     f.flag("--timeout-ms", &b.wallMs, "N",
            "wall-clock budget in ms (default unlimited)");
     f.flag("--max-fuel", &b.maxFuel, "N",
-           "interpreted-instruction budget (default unlimited)");
+           "interpreted-instruction budget (default unlimited)", WIRE_MAX);
     if (cycles)
         f.flag("--max-cycles", &b.maxSimCycles, "N",
-               "simulated-cycle budget (default unlimited)");
+               "simulated-cycle budget (default unlimited)", WIRE_MAX);
+}
+
+/** The workload field of a run or trace request. A .mir file is
+ *  loaded host-side and never travels, so its path (which need not be
+ *  UTF-8, unlike the wire) is replaced by a placeholder. */
+std::string
+wireWorkload(const std::string &spec)
+{
+    return isMirFile(spec) ? "file.mir" : spec;
 }
 
 /** Resolves @p req into RunSpecs exactly as a daemon would. */
@@ -377,8 +374,9 @@ struct ExecVerb
 
 struct RunVerb
 {
-    std::string spec, cacheDir;
-    CellArgs cell{false, {"dd"}, {4}, 400'000};
+    std::string spec, cacheDir, strategy = "dd";
+    unsigned pus = 4;
+    CellArgs cell{.insts = 400'000};
     runtime::ExecBudget budget;
 
     report::FlagSet flags()
@@ -387,6 +385,7 @@ struct RunVerb
                           "Full pipeline: transforms, profile, "
                           "partition, simulate.");
         f.positional(&spec, "<workload|file.mir>");
+        declareCellAxis(f, strategy, pus);
         cell.declare(f);
         declareBudget(f, budget);
         f.flag("--cache-dir", &cacheDir, "DIR",
@@ -397,7 +396,8 @@ struct RunVerb
     int run() const
     {
         client::RequestBuilder req =
-            client::RequestBuilder::run("run-cli", spec);
+            client::RequestBuilder::run("run-cli", wireWorkload(spec));
+        req.strategy(strategy).pusCount(pus);
         cell.apply(req);
         req.smallScale(true)  // loadProgram builds Scale::Small too
             .budget(budget);
@@ -449,8 +449,9 @@ struct RunVerb
 
 struct SweepVerb
 {
-    std::vector<std::string> names;
-    CellArgs cell{true, {"bb", "cf", "dd"}, {4, 8}, 250'000};
+    std::vector<std::string> names, strategies = {"bb", "cf", "dd"};
+    std::vector<unsigned> pus = {4, 8};
+    CellArgs cell;
     runtime::ExecBudget budget;
     unsigned jobs = 0;  // all cores
     bool small = false;
@@ -462,6 +463,9 @@ struct SweepVerb
                           "Run a workload x strategy x PU grid; exit "
                           "0 clean, 1 all failed, 3 partial.");
         f.positionals(&names, "[workloads...]");
+        f.flag("--strategy", &strategies, "bb,cf,dd",
+               "task-selection strategies (default bb,cf,dd)");
+        f.flag("--pus", &pus, "4,8", "PU counts (default 4,8)");
         cell.declare(f);
         declareBudget(f, budget);
         f.flag("--small", &small, "test-scale workloads");
@@ -480,6 +484,7 @@ struct SweepVerb
             client::RequestBuilder::sweep("sweep-cli");
         if (!names.empty())
             req.workloads(names);  // else: all bundled workloads
+        req.strategies(strategies).pus(pus);
         cell.apply(req);
         req.smallScale(small).budget(budget);
         const Remote &remote = cell.remote;
@@ -492,12 +497,12 @@ struct SweepVerb
         std::vector<report::RunSpec> specs = localSpecs(req);
 
         report::SweepRunner runner(jobs);
-        size_t per_workload = cell.strategies.size() * cell.pus.size();
+        size_t per_workload = strategies.size() * pus.size();
         std::fprintf(stderr, "sweep: %zu runs (%zu workloads x %zu "
                              "strategies x %zu PU configs) on %u "
                              "threads\n",
                      specs.size(), specs.size() / per_workload,
-                     cell.strategies.size(), cell.pus.size(),
+                     strategies.size(), pus.size(),
                      runner.jobs());
         pipeline::SessionPool pool(pipeline::SessionConfig{cacheDir});
         std::vector<report::RunRecord> records = runner.run(specs, pool);
@@ -543,8 +548,9 @@ struct SweepVerb
 
 struct TraceVerb
 {
-    std::string spec, outPath, profPath;
-    CellArgs cell{false, {"dd"}, {4}, 400'000};
+    std::string spec, outPath, profPath, strategy = "dd";
+    unsigned pus = 4;
+    CellArgs cell{.insts = 400'000};
     unsigned topN = 10;
     bool phaseSpans = false, check = false;
 
@@ -553,6 +559,7 @@ struct TraceVerb
         report::FlagSet f("msctool trace",
                           "Full pipeline with task-lifecycle tracing.");
         f.positional(&spec, "<workload|file.mir>");
+        declareCellAxis(f, strategy, pus);
         cell.declare(f);
         f.flag("--out", &outPath, "FILE", "write the Perfetto timeline");
         f.flag("--taskprof", &profPath, "FILE",
@@ -568,7 +575,8 @@ struct TraceVerb
     int run() const
     {
         client::RequestBuilder req =
-            client::RequestBuilder::trace("trace-cli", spec);
+            client::RequestBuilder::trace("trace-cli", wireWorkload(spec));
+        req.strategy(strategy).pusCount(pus);
         cell.apply(req);
         req.smallScale(true).includeTrace(!outPath.empty());
         const Remote &remote = cell.remote;
@@ -580,7 +588,6 @@ struct TraceVerb
         }
         report::RunSpec sp = localSpecs(req).front();
         pipeline::StageOptions o = sp.opts;
-        const unsigned pus = o.config.numPUs;
 
         obs::PerfettoTraceWriter writer(pus, spec);
         obs::TaskProfiler prof;
@@ -622,7 +629,7 @@ struct TraceVerb
                 obs::taskProfileToJson(prof, partition, spec).dump(2));
             std::fprintf(stderr, "trace: wrote %s\n", profPath.c_str());
         }
-        return check ? verify(writer, xcheck, st, pus) : 0;
+        return check ? verify(writer, xcheck, st) : 0;
     }
 
     int runRemote(const Remote &remote,
@@ -657,7 +664,7 @@ struct TraceVerb
      *  then the emitted JSON re-parsed and re-summed per PU. */
     int verify(const obs::PerfettoTraceWriter &writer,
                const obs::SpanAccounting &xcheck,
-               const arch::SimStats &st, unsigned pus) const
+               const arch::SimStats &st) const
     {
         std::string err = xcheck.verify(st);
         if (!err.empty()) {

@@ -7,9 +7,9 @@
  * atoi/atoll turn garbage into 0, and 0 means "unlimited" or "all
  * cores" for most of these flags, so a typo used to change behaviour
  * silently. parseUnsigned accepts exactly a non-empty run of decimal
- * digits whose value fits @p T and throws std::invalid_argument,
- * naming the flag, on anything else (a sign, spaces, trailing junk,
- * overflow).
+ * digits whose value fits @p T (and is at most @p max, when given) and
+ * throws std::invalid_argument, naming the flag, on anything else (a
+ * sign, spaces, trailing junk, overflow).
  *
  * A FlagSet declares each flag of one binary (or one msctool verb)
  * once: its name, its value kind — a switch, a string, a strict
@@ -37,9 +37,9 @@ namespace report {
 
 template <class T = uint64_t>
 T
-parseUnsigned(const char *flag, const std::string &text)
+parseUnsigned(const char *flag, const std::string &text,
+              uint64_t max = std::numeric_limits<T>::max())
 {
-    const uint64_t max = std::numeric_limits<T>::max();
     uint64_t v = 0;
     bool ok = !text.empty();
     for (char c : text) {
@@ -73,37 +73,40 @@ class FlagSet
 
     /** Switch: present sets *dst to true. */
     FlagSet &
-    flag(const char *name, bool *dst, const char *help)
+    flag(const char *name, bool *dst, std::string help)
     {
-        return func(name, nullptr, help,
+        return func(name, nullptr, std::move(help),
                     [dst](const std::string &) { *dst = true; });
     }
 
     FlagSet &
     flag(const char *name, std::string *dst, const char *meta,
-         const char *help)
+         std::string help)
     {
-        return func(name, meta, help,
+        return func(name, meta, std::move(help),
                     [dst](const std::string &v) { *dst = v; });
     }
 
-    /** Strict unsigned, range-checked against the width of *dst. */
+    /** Strict unsigned, range-checked against the width of *dst or a
+     *  smaller @p max. */
     template <UnsignedFlag T>
     FlagSet &
-    flag(const char *name, T *dst, const char *meta, const char *help)
+    flag(const char *name, T *dst, const char *meta, std::string help,
+         T max = std::numeric_limits<T>::max())
     {
-        return func(name, meta, help, [name, dst](const std::string &v) {
-            *dst = parseUnsigned<T>(name, v);
-        });
+        return func(name, meta, std::move(help),
+                    [name, dst, max](const std::string &v) {
+                        *dst = parseUnsigned<T>(name, v, max);
+                    });
     }
 
     /** Comma list of strings; each occurrence replaces *dst. Empty
      *  elements are skipped, and a list with none is an error. */
     FlagSet &
     flag(const char *name, std::vector<std::string> *dst,
-         const char *meta, const char *help)
+         const char *meta, std::string help)
     {
-        return func(name, meta, help, [name, dst](const std::string &v) {
+        return func(name, meta, std::move(help), [name, dst](const std::string &v) {
             *dst = splitList(name, v);
         });
     }
@@ -112,9 +115,9 @@ class FlagSet
     template <UnsignedFlag T>
     FlagSet &
     flag(const char *name, std::vector<T> *dst, const char *meta,
-         const char *help)
+         std::string help)
     {
-        return func(name, meta, help, [name, dst](const std::string &v) {
+        return func(name, meta, std::move(help), [name, dst](const std::string &v) {
             dst->clear();
             for (const std::string &e : splitList(name, v))
                 dst->push_back(parseUnsigned<T>(name, e));
@@ -124,10 +127,10 @@ class FlagSet
     /** Custom conversion: @p set receives the value (an empty string
      *  for a switch, @p meta == nullptr) and throws on a bad one. */
     FlagSet &
-    func(const char *name, const char *meta, const char *help,
+    func(const char *name, const char *meta, std::string help,
          std::function<void(const std::string &)> set)
     {
-        _flags.push_back({name, meta, help, std::move(set)});
+        _flags.push_back({name, meta, std::move(help), std::move(set)});
         return *this;
     }
 
@@ -213,7 +216,7 @@ class FlagSet
     {
         const char *name;
         const char *meta;  ///< Value placeholder; null for a switch.
-        const char *help;
+        std::string help;
         std::function<void(const std::string &)> set;
     };
 

@@ -4,7 +4,7 @@
  * ctest target; docs/DAEMON.md).
  *
  * Usage: daemon_smoke <path-to-mscd> <path-to-msctool>
- *                     [<path-to-bench_daemon>]
+ *                     <path-to-bench_daemon>
  *
  * Proves, against the actual executables:
  *
@@ -344,9 +344,9 @@ frameOf(const std::vector<report::Json> &frames, const std::string &id,
 int
 main(int argc, char **argv)
 {
-    if (argc != 3 && argc != 4) {
+    if (argc != 4) {
         std::fprintf(stderr, "usage: daemon_smoke <mscd> <msctool> "
-                             "[<bench_daemon>]\n");
+                             "<bench_daemon>\n");
         return 2;
     }
     const std::string mscd = argv[1];
@@ -393,6 +393,8 @@ main(int argc, char **argv)
             {{"trace", "compress", "--top", "x"}, "--top needs"},
             {{"fuzz", "--size", "1"}, "unknown flag --size"},
             {{"cancel", "r1", "--connect"}, "--connect needs a value"},
+            {{"run", "compress", "--max-fuel", "18446744073709551615"},
+             "--max-fuel needs"},
         };
         for (const Garbage &g : garbage) {
             std::vector<std::string> cmd = {msctool};
@@ -407,10 +409,8 @@ main(int argc, char **argv)
                     ", want 1 and \"" + g.text + "\" in: " + err);
             }
         }
-        if (argc == 4) {
-            runStderr(scratch, {argv[3], "--jobs", "x"}, &rc);
-            CHECK(rc == 2);
-        }
+        runStderr(scratch, {argv[3], "--jobs", "x"}, &rc);
+        CHECK(rc == 2);
 
         // ---- 1. Byte-identity against msctool sweep --json.
         std::string ref = scratch.path("ref.json");

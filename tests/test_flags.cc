@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,20 @@ TEST(ParseUnsigned, RejectsGarbageNamingTheFlag)
                  std::invalid_argument);
     EXPECT_THROW(parseUnsigned<uint16_t>("--n", "65536"),
                  std::invalid_argument);
+}
+
+TEST(ParseUnsigned, HonoursAnExplicitMax)
+{
+    EXPECT_EQ(parseUnsigned("--n", "9223372036854775807", INT64_MAX),
+              uint64_t(INT64_MAX));
+    try {
+        parseUnsigned("--max-fuel", "9223372036854775808", INT64_MAX);
+        ADD_FAILURE() << "accepted INT64_MAX + 1";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_TRUE(contains(e.what(), "--max-fuel needs an unsigned "
+                                       "integer up to 9223372036854775807"))
+            << e.what();
+    }
 }
 
 TEST(FlagSet, ParsesEveryValueKind)
@@ -141,6 +156,17 @@ TEST(FlagSet, StrictNumbersThroughTheDestinationWidth)
         EXPECT_NE(parseError(f, {"--timeout-ms", bad}), "") << bad;
     EXPECT_EQ(parseError(f, {"--timeout-ms", "4294967295"}), "");
     EXPECT_EQ(ms, UINT32_MAX);
+
+    // A destination bounded below its width, as JSON-bound values are.
+    uint64_t fuel = 0;
+    FlagSet g("prog");
+    g.flag("--max-fuel", &fuel, "N", "fuel", uint64_t(INT64_MAX));
+    EXPECT_TRUE(contains(parseError(g, {"--max-fuel",
+                                        "18446744073709551615"}),
+                         "--max-fuel needs an unsigned integer up to "
+                         "9223372036854775807"));
+    EXPECT_EQ(parseError(g, {"--max-fuel", "9223372036854775807"}), "");
+    EXPECT_EQ(fuel, uint64_t(INT64_MAX));
 }
 
 TEST(FlagSet, CommaListRejectsABadElement)
