@@ -62,6 +62,8 @@ struct Golden
     std::array<uint64_t, NUM_CYCLE_KINDS> buckets;
     /** FNV-1a over extWaitByReg and puOccupiedCycles. */
     uint64_t extWaitDigest, puOccupiedDigest;
+    /** Task-size heuristics on, in the transform and the selection. */
+    bool sized = false;
 };
 
 // clang-format off
@@ -178,6 +180,30 @@ const Golden GOLDEN[] = {
      7051, 39324, "0x1.d82a70c282785p+7",
      {6096, 55219, 197, 577478, 6582, 39815, 6096, 15309, 0},
      0x9837b80d29cb77f2ull, 0x18788c0e5c8da6b3ull},
+    {"go", "cf", 4, true, 0,
+     29292, 33099, 1310, 78,
+     1222, 15, 5960, 3442,
+     0, 42, 0, 0, 0,
+     8587, 15, 3816, 256,
+     10447, 8376, "0x1.9bae9df11b95p+6",
+     {2620, 25772, 34084, 25030, 1377, 20664, 2620, 4881, 0},
+     0xe801a9182b3ba8a6ull, 0xd0e374658432d2b7ull, true},
+    {"perl", "dd", 8, false, 0,
+     134390, 94367, 5037, 16573,
+     5034, 733, 14252, 5053,
+     0, 4566, 0, 0, 0,
+     27510, 16, 4015, 1105,
+     28537, 54103, "0x1.a6e0cf21b0ac1p+6",
+     {10074, 72374, 374335, 89406, 15701, 58029, 10074, 423988, 0},
+     0xdeee4e1c5560d128ull, 0x2c004d23ab026430ull, true},
+    {"vortex", "bb", 4, true, 0,
+     290686, 123897, 28322, 18030,
+     25279, 4796, 15208, 2954,
+     0, 13906, 0, 0, 0,
+     37343, 17, 7442, 3987,
+     28320, 136874, "0x1.f2ad02ac062a3p+3",
+     {56644, 107672, 163495, 207267, 2268, 410650, 56644, 126168, 0},
+     0xfb361c660b2babd0ull, 0x4e6ab44093253439ull, true},
 };
 // clang-format on
 
@@ -199,20 +225,24 @@ struct Prepared
 };
 
 const Prepared &
-prepared(const std::string &workload, const std::string &strategy)
+prepared(const Golden &g)
 {
     static std::map<std::string, Prepared> memo;
-    std::string key = workload + "/" + strategy;
+    std::string key = std::string(g.workload) + "/" + g.strategy +
+        (g.sized ? "/sized" : "");
     auto it = memo.find(key);
     if (it != memo.end())
         return it->second;
     // Built in place: the partition points into the program.
     Prepared &p = memo[key];
-    p.prog = workloads::buildWorkload(workload, workloads::Scale::Small);
-    tasksel::hoistInductionVariables(p.prog);
-    profile::Profile prof = profile::profileProgram(p.prog);
+    p.prog = workloads::buildWorkload(g.workload, workloads::Scale::Small);
     tasksel::SelectionOptions opts;
-    opts.strategy = strategyOf(strategy);
+    opts.strategy = strategyOf(g.strategy);
+    opts.taskSizeHeuristic = g.sized;
+    tasksel::hoistInductionVariables(p.prog);
+    if (g.sized)
+        tasksel::unrollSmallLoops(p.prog, opts.loopThresh);
+    profile::Profile prof = profile::profileProgram(p.prog);
     p.part = tasksel::selectTasks(p.prog, prof, opts);
     profile::Interpreter in(p.prog);
     p.tasks = cutTasks(in.trace(TRACE_INSTS), p.part);
@@ -259,7 +289,7 @@ row(const Golden &g, const SimStats &s)
         "     %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64 ",\n"
         "     %" PRIu64 ", %" PRIu64 ", \"%s\",\n"
         "     %s,\n"
-        "     0x%" PRIx64 "ull, 0x%" PRIx64 "ull},\n",
+        "     0x%" PRIx64 "ull, 0x%" PRIx64 "ull%s},\n",
         g.workload, g.strategy, g.pus, g.ooo ? "true" : "false",
         g.arbPerPU,
         s.cycles, s.retiredInsts, s.retiredTasks, s.idlePuCycles,
@@ -270,14 +300,15 @@ row(const Golden &g, const SimStats &s)
         s.dynTaskCtlInsts, s.eventSkippedCycles,
         hexfloat(s.measuredWindowSpan).c_str(), b.c_str(),
         fnv(s.extWaitByReg.data(), s.extWaitByReg.size()),
-        fnv(s.puOccupiedCycles.data(), s.puOccupiedCycles.size()));
+        fnv(s.puOccupiedCycles.data(), s.puOccupiedCycles.size()),
+        g.sized ? ", true" : "");
     return buf;
 }
 
 SimStats
 runCell(const Golden &g, CoreMode mode)
 {
-    const Prepared &p = prepared(g.workload, g.strategy);
+    const Prepared &p = prepared(g);
     SimConfig cfg = SimConfig::paperConfig(g.pus, g.ooo);
     cfg.coreMode = mode;
     if (g.arbPerPU)
@@ -290,7 +321,8 @@ expectGolden(const Golden &g, const SimStats &s, const char *core)
 {
     SCOPED_TRACE(std::string(g.workload) + "/" + g.strategy + "/" +
                  std::to_string(g.pus) + (g.ooo ? "/ooo/" : "/ino/") +
-                 "arb" + std::to_string(g.arbPerPU) + "/" + core);
+                 "arb" + std::to_string(g.arbPerPU) +
+                 (g.sized ? "/sized/" : "/") + core);
     bool ok = s.cycles == g.cycles && s.retiredInsts == g.retiredInsts &&
         s.retiredTasks == g.retiredTasks &&
         s.idlePuCycles == g.idlePuCycles &&
@@ -322,15 +354,19 @@ expectGolden(const Golden &g, const SimStats &s, const char *core)
 
 /** The paper-ARB rows cover every strategy x PU count x issue
  *  discipline; the starved-ARB rows add overflow stalls and head
- *  accesses past capacity. */
+ *  accesses past capacity, and the sized rows included callees. */
 TEST(SimGolden, TableCoversTheGrid)
 {
     std::map<std::string, int> seen;
-    for (const Golden &g : GOLDEN)
-        if (!g.arbPerPU)
+    size_t sized = 0;
+    for (const Golden &g : GOLDEN) {
+        sized += g.sized;
+        if (!g.arbPerPU && !g.sized)
             seen[std::string(g.strategy) + std::to_string(g.pus) +
                  (g.ooo ? "o" : "i")]++;
+    }
     EXPECT_EQ(seen.size(), 12u);
+    EXPECT_GE(sized, 2u);
     for (const auto &kv : seen)
         EXPECT_GE(kv.second, 1) << kv.first;
 }
