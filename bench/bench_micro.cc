@@ -70,11 +70,11 @@ BM_TaskCutting(benchmark::State &state)
     tasksel::SelectionOptions opts;
     tasksel::TaskPartition part = tasksel::selectTasks(p, prof, opts);
     profile::Interpreter in(p);
-    profile::Trace t = in.trace(50'000);
+    auto t = std::make_shared<const profile::Trace>(in.trace(50'000));
     for (auto _ : state)
         benchmark::DoNotOptimize(arch::cutTasks(t, part));
     state.SetItemsProcessed(int64_t(state.iterations()) *
-                            int64_t(t.size()));
+                            int64_t(t->size()));
 }
 BENCHMARK(BM_TaskCutting);
 
@@ -138,8 +138,8 @@ BM_QuiescentSimulation(benchmark::State &state)
     opts.strategy = tasksel::Strategy::ControlFlow;
     tasksel::TaskPartition part = tasksel::selectTasks(p, prof, opts);
     profile::Interpreter in(p);
-    profile::Trace t = in.trace(60'000);
-    std::vector<arch::DynTask> tasks = arch::cutTasks(t, part);
+    arch::TaskStream tasks = arch::cutTasks(
+        std::make_shared<const profile::Trace>(in.trace(60'000)), part);
 
     arch::SimConfig cfg = arch::SimConfig::paperConfig(4);
     cfg.coreMode = state.range(0) ? arch::CoreMode::Event

@@ -127,7 +127,7 @@ struct Instance
         return &it->second;
     }
 
-    size_t numInsts() const { return task ? task->insts.size() : 0; }
+    size_t numInsts() const { return task ? task->size() : 0; }
 
     /**
      * Restores a pooled instance to freshly-constructed state while
@@ -251,10 +251,12 @@ template <bool EV>
 class Simulator
 {
   public:
-    Simulator(const TaskPartition &part, const std::vector<DynTask> &tasks,
+    Simulator(const TaskPartition &part, const TaskStream &tasks,
               const SimConfig &cfg, obs::TraceSink *sink,
               runtime::Governor *gov)
-        : _part(part), _tasks(tasks), _cfg(cfg), _gov(gov),
+        : _part(part), _tasks(tasks),
+          _trace(tasks.trace ? tasks.trace->entries.data() : nullptr),
+          _cfg(cfg), _gov(gov),
           _hier(cfg),
           _arb(cfg.arbEntriesPerPU * cfg.numPUs, cfg.numPUs),
           _sync(cfg.syncTableSize),
@@ -270,22 +272,28 @@ class Simulator
     {
         _stats.puOccupiedCycles.assign(cfg.numPUs, 0);
 
-        // Event core: decode per-static-instruction operand lists
-        // once — dispatch touches them for every dynamic instruction
-        // of every instance, and the static program is tiny. The
-        // reference core re-decodes per dispatch like the seed.
-        if constexpr (EV) {
-            _operands.resize(part.prog->functions.size());
-            for (size_t f = 0; f < _operands.size(); ++f) {
-                const auto &fn = part.prog->functions[f];
-                _operands[f].resize(fn.blocks.size());
-                for (size_t b = 0; b < fn.blocks.size(); ++b) {
-                    const auto &bb = fn.blocks[b];
-                    auto &ops = _operands[f][b];
-                    ops.resize(bb.insts.size());
-                    for (size_t i = 0; i < bb.insts.size(); ++i) {
-                        bb.insts[i].uses(ops[i].srcs);
-                        bb.insts[i].defs(ops[i].dsts);
+        // Decode per-static-instruction facts once — dispatch touches
+        // them for every dynamic instruction of every instance, and
+        // the static program is tiny. Only the event core predecodes
+        // operand lists; the reference core re-decodes per dispatch
+        // like the seed.
+        const Program &prog = *part.prog;
+        _static.resize(prog.functions.size());
+        for (size_t f = 0; f < _static.size(); ++f) {
+            const auto &fn = prog.functions[f];
+            _static[f].resize(fn.blocks.size());
+            for (size_t b = 0; b < fn.blocks.size(); ++b) {
+                const auto &bb = fn.blocks[b];
+                auto &row = _static[f][b];
+                row.resize(bb.insts.size());
+                for (uint32_t i = 0; i < bb.insts.size(); ++i) {
+                    StaticInst &si = row[i];
+                    si.inst = &bb.insts[i];
+                    si.pc = prog.instAddr(FuncId(f), BlockId(b), i);
+                    si.fwdSafe = part.fwdSafe[f][b][i];
+                    if constexpr (EV) {
+                        bb.insts[i].uses(si.srcs);
+                        bb.insts[i].defs(si.dsts);
                     }
                 }
             }
@@ -318,8 +326,36 @@ class Simulator
     uint64_t nextEventCycle() const;
     void skipTo(uint64_t target);
 
+    /** Per-static-instruction facts, indexed [func][block][index] by
+     *  InstRef. */
+    struct StaticInst
+    {
+        const Instruction *inst = nullptr;
+        uint64_t pc = 0;            ///< Code byte address.
+        /** Registers to forward on the ring right after execution
+         *  (fwdSafe of the owning static task). */
+        RegSet fwdSafe = 0;
+        /** Operand lists (uses(), defs()); event core only. */
+        std::vector<RegId> srcs, dsts;
+    };
+    std::vector<std::vector<std::vector<StaticInst>>> _static;
+
+    const StaticInst &
+    staticOf(const InstRef &r) const
+    {
+        return _static[r.func][r.block][r.index];
+    }
+
+    /** Trace entry @p i of the dynamic task of @p in. */
+    const profile::TraceEntry &
+    entry(const Instance &in, uint32_t i) const
+    {
+        return _trace[in.task->begin + i];
+    }
+
     const TaskPartition &_part;
-    const std::vector<DynTask> &_tasks;
+    const TaskStream &_tasks;
+    const profile::TraceEntry *_trace;  ///< The stream's entries.
     const SimConfig &_cfg;
     runtime::Governor *_gov;  ///< Optional budget/cancel governor.
 
@@ -358,15 +394,17 @@ class Simulator
         auto &span = _storePcSpan[in.dynIdx];
         if (span.first == NOT_DONE) {
             size_t begin = _storePcPool.size();
-            for (const DynInst &di : _tasks[in.dynIdx].insts) {
-                if (_part.prog->inst(di.ref).isStore()) {
+            for (const profile::TraceEntry &e :
+                 _tasks.insts(_tasks[in.dynIdx])) {
+                const StaticInst &si = staticOf(e.ref);
+                if (si.inst->isStore()) {
                     auto it = std::lower_bound(
                         _storePcPool.begin() + ptrdiff_t(begin),
-                        _storePcPool.end(), std::make_pair(di.pc, 0));
-                    if (it != _storePcPool.end() && it->first == di.pc)
+                        _storePcPool.end(), std::make_pair(si.pc, 0));
+                    if (it != _storePcPool.end() && it->first == si.pc)
                         it->second++;
                     else
-                        _storePcPool.insert(it, {di.pc, 1});
+                        _storePcPool.insert(it, {si.pc, 1});
                 }
             }
             span = {begin, _storePcPool.size()};
@@ -415,17 +453,6 @@ class Simulator
     std::vector<std::unique_ptr<Instance>> _pool;
     /// @}
 
-    /**
-     * Per-static-instruction operand lists (srcs from uses(), dsts
-     * from defs()), decoded once at construction — event core only;
-     * the reference core keeps the seed's per-dispatch decode.
-     * Indexed [func][block][index] by InstRef.
-     */
-    struct Operands
-    {
-        std::vector<RegId> srcs, dsts;
-    };
-    std::vector<std::vector<std::vector<Operands>>> _operands;
 };
 
 template <bool EV>
@@ -473,7 +500,7 @@ Simulator<EV>::emitCounters()
         if (up->bogus)
             continue;
         in_flight++;
-        span += up->task->insts.size();
+        span += up->task->size();
     }
     _sink->counters(obs::CounterEvent{_now, in_flight, span});
 }
@@ -572,9 +599,8 @@ template <bool EV>
 void
 Simulator<EV>::dispatchInsts(Instance &in)
 {
-    const DynTask &dt = *in.task;
     unsigned fetched = 0;
-    while (fetched < _cfg.fetchWidth && in.dispatched < dt.insts.size()) {
+    while (fetched < _cfg.fetchWidth && in.dispatched < in.numInsts()) {
         if (_now < in.icacheBlockedUntil)
             break;
         if (in.branchBlockedOn >= 0 && !in.slots[in.branchBlockedOn].done)
@@ -584,16 +610,17 @@ Simulator<EV>::dispatchInsts(Instance &in)
             break;
 
         uint32_t i = in.dispatched;
-        const DynInst &di = dt.insts[i];
-        const Instruction &inst = _part.prog->inst(di.ref);
+        const profile::TraceEntry &e = entry(in, i);
+        const StaticInst &si = staticOf(e.ref);
+        const Instruction &inst = *si.inst;
 
         // I-cache: one line lookup per new line.
-        uint64_t line = di.pc / _cfg.l1i.blockBytes;
+        uint64_t line = si.pc / _cfg.l1i.blockBytes;
         if (line != in.curFetchLine) {
             // The lookup itself mutates cache state (LRU, counters)
             // even when it blocks fetch, so it counts as progress.
             _progress = true;
-            uint64_t avail = _hier.fetchAccess(di.pc, _now);
+            uint64_t avail = _hier.fetchAccess(si.pc, _now);
             if (avail > _now + _cfg.l1i.hitLatency) {
                 in.icacheBlockedUntil = avail;
                 break;
@@ -604,13 +631,13 @@ Simulator<EV>::dispatchInsts(Instance &in)
         // Intra-task conditional branches consult gshare; a
         // misprediction stalls fetch until the branch executes.
         if (inst.isCondBranch()) {
-            bool pred = _gshare.predict(di.pc);
+            bool pred = _gshare.predict(si.pc);
             _stats.branchPredictions++;
-            if (pred != di.taken) {
+            if (pred != e.taken) {
                 _stats.branchMispredictions++;
                 in.branchBlockedOn = int(i);
             }
-            _gshare.update(di.pc, di.taken);
+            _gshare.update(si.pc, e.taken);
         }
 
         // Dependence setup. The event core reads predecoded operand
@@ -620,10 +647,8 @@ Simulator<EV>::dispatchInsts(Instance &in)
         std::vector<RegId> srcsRef, dstsRef;
         const std::vector<RegId> *srcsP, *dstsP;
         if constexpr (EV) {
-            const Operands &ops =
-                _operands[di.ref.func][di.ref.block][di.ref.index];
-            srcsP = &ops.srcs;
-            dstsP = &ops.dsts;
+            srcsP = &si.srcs;
+            dstsP = &si.dsts;
         } else {
             inst.uses(srcsRef);
             inst.defs(dstsRef);
@@ -667,9 +692,9 @@ Simulator<EV>::tryIssue(Instance &in, uint32_t i,
                     std::array<unsigned, 5> &fu_free, bool &ext_wait,
                     bool &sync_wait)
 {
-    const DynTask &dt = *in.task;
-    const DynInst &di = dt.insts[i];
-    const Instruction &inst = _part.prog->inst(di.ref);
+    const profile::TraceEntry &e = entry(in, i);
+    const StaticInst &si = staticOf(e.ref);
+    const Instruction &inst = *si.inst;
 
     if (in.slots[i].extMask) {
         ext_wait = true;
@@ -689,7 +714,7 @@ Simulator<EV>::tryIssue(Instance &in, uint32_t i,
 
     if (inst.isLoad()) {
         // Synchronization-table gating (Moshovos et al. [11]).
-        uint64_t producer_pc = _sync.producerOf(di.pc);
+        uint64_t producer_pc = _sync.producerOf(si.pc);
         if (producer_pc && !is_head) {
             for (auto &up : _window) {
                 Instance &older = *up;
@@ -709,7 +734,7 @@ Simulator<EV>::tryIssue(Instance &in, uint32_t i,
         }
         // ARB capacity: speculative accesses to untracked addresses
         // stall when the ARB is full.
-        if (!is_head && _arb.full() && !_arb.tracked(di.addr)) {
+        if (!is_head && _arb.full() && !_arb.tracked(e.addr)) {
             _stats.arbOverflowStalls++;
             if constexpr (EV)
                 _arbCap++;
@@ -717,11 +742,11 @@ Simulator<EV>::tryIssue(Instance &in, uint32_t i,
                 noteArbStall(in.pu);
             return false;
         }
-        uint64_t avail = _hier.dataAccess(di.addr * 8, _now);
+        uint64_t avail = _hier.dataAccess(e.addr * 8, _now);
         wb = avail + _cfg.arbHitLatency;
-        _arb.recordLoad(in.dynIdx, di.addr, di.pc);
+        _arb.recordLoad(in.dynIdx, e.addr, si.pc);
     } else if (inst.isStore()) {
-        if (!is_head && _arb.full() && !_arb.tracked(di.addr)) {
+        if (!is_head && _arb.full() && !_arb.tracked(e.addr)) {
             _stats.arbOverflowStalls++;
             if constexpr (EV)
                 _arbCap++;
@@ -730,12 +755,12 @@ Simulator<EV>::tryIssue(Instance &in, uint32_t i,
             return false;
         }
         wb = _now + 1 + _cfg.arbHitLatency;
-        auto hit = _arb.recordStore(in.dynIdx, di.addr);
+        auto hit = _arb.recordStore(in.dynIdx, e.addr);
         if (hit.victim != NO_TASK) {
             _stats.memViolations++;
-            _violations.push_back({hit.victim, hit.loadPc, di.pc});
+            _violations.push_back({hit.victim, hit.loadPc, si.pc});
         }
-        int *cnt = in.findStorePc(di.pc);
+        int *cnt = in.findStorePc(si.pc);
         if (cnt && *cnt > 0)
             (*cnt)--;
     } else {
@@ -777,9 +802,12 @@ Simulator<EV>::writebacks(Instance &in)
         }
         in.slots[i].waiters = Instance::NO_WAITER;
 
-        // Safe forward points: send on the ring.
-        const DynInst &di = in.task->insts[i];
-        RegSet fwd = di.fwdMask & in.createMask & ~in.forwardedRegs;
+        // Safe forward points: send on the ring. Inside an included
+        // callee nothing forwards; its values release at task end.
+        uint64_t at = in.task->begin + i;
+        RegSet fwd = _tasks.inIncludedCallee(at)
+            ? 0 : staticOf(_trace[at].ref).fwdSafe;
+        fwd &= in.createMask & ~in.forwardedRegs;
         for (unsigned r = 0; fwd && r < NUM_REGS; ++r) {
             if (fwd & cfg::regBit(RegId(r))) {
                 broadcastReg(in, RegId(r), in.slots[i].doneCycle);
@@ -913,7 +941,7 @@ Simulator<EV>::execPhase()
     for (auto &up : _window) {
         execInstance(*up);
         if (!up->bogus) {
-            span += up->task->insts.size();
+            span += up->task->size();
             any = true;
         }
     }
@@ -1060,9 +1088,9 @@ Simulator<EV>::retirePhase()
     _stats.buckets.merge(head.buckets);
     _stats.puOccupiedCycles[head.pu] += head.buckets.total();
     _stats.retiredTasks++;
-    _stats.retiredInsts += head.task->insts.size();
+    _stats.retiredInsts += head.task->size();
     _stats.dynTasks++;
-    _stats.dynTaskInsts += head.task->insts.size();
+    _stats.dynTaskInsts += head.task->size();
     _stats.dynTaskCtlInsts += head.task->ctlInsts;
 
     if (_sink) {
@@ -1075,7 +1103,7 @@ Simulator<EV>::retirePhase()
         ev.completionCycle = head.completionCycle;
         ev.retireStart = head.retireStart;
         ev.retireEnd = head.retireStart + _cfg.taskEndOverhead;
-        ev.insts = head.task->insts.size();
+        ev.insts = head.task->size();
         ev.buckets = head.buckets;
         _sink->taskCommitted(ev);
     }
@@ -1189,7 +1217,7 @@ Simulator<EV>::assignPhase()
         in->task = &_tasks[dyn_idx];
         const Task &st = _part.tasks[in->task->staticTask];
         in->createMask = st.createMask;
-        in->slots.assign(in->task->insts.size(), Instance::Slot{});
+        in->slots.assign(in->task->size(), Instance::Slot{});
         in->waitNodes.clear();
         in->lastWriter.fill(-1);
         in->fwdArr.resize(size_t(NUM_REGS) * _cfg.numPUs);
@@ -1304,7 +1332,7 @@ Simulator<EV>::skipTo(uint64_t target)
         Instance &in = *up;
         if (in.bogus)
             continue;
-        span += in.task->insts.size();
+        span += in.task->size();
         any = true;
         if (in.completed)
             continue;
@@ -1399,7 +1427,7 @@ Simulator<EV>::run()
 } // anonymous namespace
 
 SimStats
-simulate(const TaskPartition &part, const std::vector<DynTask> &tasks,
+simulate(const TaskPartition &part, const TaskStream &tasks,
          const SimConfig &cfg, obs::TraceSink *sink,
          runtime::Governor *gov)
 {

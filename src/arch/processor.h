@@ -80,7 +80,7 @@ namespace arch {
  * so a pre-cancelled token aborts before any simulation work.
  */
 SimStats simulate(const tasksel::TaskPartition &part,
-                  const std::vector<DynTask> &tasks,
+                  const TaskStream &tasks,
                   const SimConfig &cfg,
                   obs::TraceSink *sink = nullptr,
                   runtime::Governor *gov = nullptr);

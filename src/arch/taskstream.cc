@@ -8,30 +8,36 @@ namespace arch {
 using namespace ir;
 using namespace tasksel;
 
-std::vector<DynTask>
-cutTasks(const profile::Trace &trace, const TaskPartition &part)
+TaskStream
+cutTasks(std::shared_ptr<const profile::Trace> trace,
+         const TaskPartition &part)
 {
     const Program &prog = *part.prog;
-    std::vector<DynTask> out;
-    if (trace.entries.empty())
+    TaskStream out;
+    out.trace = std::move(trace);
+    const std::vector<profile::TraceEntry> &entries = out.trace->entries;
+    if (entries.empty())
         return out;
 
     unsigned depth = 0;           // Included-call nesting depth.
     DynTask *cur = nullptr;
 
-    auto openTask = [&](BlockRef entry) {
+    auto openTask = [&](BlockRef entry, uint64_t begin) {
         TaskId tid = part.taskIdOf(entry);
         if (tid == INVALID_TASK)
             throw std::runtime_error("trace block not in any task");
         if (part.tasks[tid].entry != entry.block)
             throw std::runtime_error("dynamic entry into task middle");
-        out.emplace_back();
-        cur = &out.back();
+        if (cur)
+            cur->end = begin;
+        out.tasks.emplace_back();
+        cur = &out.tasks.back();
         cur->staticTask = tid;
+        cur->begin = begin;
     };
 
-    for (size_t i = 0; i < trace.entries.size(); ++i) {
-        const profile::TraceEntry &e = trace.entries[i];
+    for (size_t i = 0; i < entries.size(); ++i) {
+        const profile::TraceEntry &e = entries[i];
         BlockRef blk{e.ref.func, e.ref.block};
 
         if (e.ref.index == 0 && depth == 0) {
@@ -44,8 +50,8 @@ cutTasks(const profile::Trace &trace, const TaskPartition &part)
                 if (cur) {
                     // Record the successor of the closing task.
                     const Task &st = part.tasks[cur->staticTask];
-                    const DynInst &lastin = cur->insts.back();
-                    const Instruction &li = prog.inst(lastin.ref);
+                    const InstRef &last = entries[i - 1].ref;
+                    const Instruction &li = prog.inst(last);
                     TaskTarget actual;
                     if (li.op == Opcode::Ret) {
                         actual = {TargetKind::Return, {}};
@@ -58,32 +64,22 @@ cutTasks(const profile::Trace &trace, const TaskPartition &part)
                     cur->nextEntry = blk;
                     if (li.op == Opcode::Call) {
                         cur->endsInCall = true;
-                        const BasicBlock &cb = prog.block(
-                            {lastin.ref.func, lastin.ref.block});
-                        cur->callReturnSite =
-                            {lastin.ref.func, cb.fallthrough};
+                        const BasicBlock &cb = prog.block(last.blockRef());
+                        cur->callReturnSite = {last.func, cb.fallthrough};
                     }
                 }
-                openTask(blk);
+                openTask(blk, i);
             }
         }
 
         const Instruction &inst = prog.inst(e.ref);
-
-        DynInst di;
-        di.ref = e.ref;
-        di.addr = e.addr;
-        di.pc = prog.instAddr(e.ref);
-        di.taken = e.taken;
-        if (depth == 0) {
-            di.fwdMask =
-                part.fwdSafe[e.ref.func][e.ref.block][e.ref.index];
-        } else {
-            di.fwdMask = 0;  // Inside an included callee.
+        if (depth > 0) {
+            if (out.inCallee.empty())
+                out.inCallee.resize(entries.size());
+            out.inCallee[i] = true;
         }
         if (inst.isControl())
             cur->ctlInsts++;
-        cur->insts.push_back(di);
 
         if (inst.op == Opcode::Call) {
             if (depth > 0) {
@@ -96,8 +92,8 @@ cutTasks(const profile::Trace &trace, const TaskPartition &part)
         }
     }
 
-    if (cur)
-        cur->last = true;
+    cur->end = entries.size();
+    cur->last = true;
     return out;
 }
 

@@ -6,11 +6,18 @@
  * when control reaches a block owned by a different task or re-enters
  * a task entry. Calls marked for inclusion by the task-size heuristic
  * keep the current task open through the entire callee execution.
+ *
+ * A dynamic task is a [begin, end) range of the trace, not a copy of
+ * it: the partitions of one program share one trace, and the timing
+ * model looks an instruction's code address and forwarding mask up
+ * per static instruction.
  */
 
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "profile/trace.h"
@@ -19,30 +26,16 @@
 namespace msc {
 namespace arch {
 
-/** One dynamic instruction, decorated for the timing model. */
-struct DynInst
-{
-    ir::InstRef ref;
-    uint64_t addr = 0;       ///< Effective word address (memory ops).
-    uint64_t pc = 0;         ///< Code byte address.
-    bool taken = false;      ///< Conditional-branch outcome.
-
-    /** Registers to forward on the ring right after execution
-     *  (fwdSafe of the owning static task; zero inside included
-     *  callees, whose values release at task end). */
-    uint64_t fwdMask = 0;
-};
-
 /** One dynamic task instance in program order. */
 struct DynTask
 {
     tasksel::TaskId staticTask = tasksel::INVALID_TASK;
 
-    /** Instructions of this dynamic task. */
-    std::vector<DynInst> insts;
-
     /** Number of control-transfer instructions (Table 1 "#ct inst"). */
     uint32_t ctlInsts = 0;
+
+    /** The task's instructions: trace entries [begin, end). */
+    uint64_t begin = 0, end = 0;
 
     /**
      * Index of the actual successor in the static task's target list;
@@ -67,18 +60,55 @@ struct DynTask
     /** Return site pushed when endsInCall (continuation entry). */
     ir::BlockRef callReturnSite;
 
-    size_t size() const { return insts.size(); }
+    size_t size() const { return end - begin; }
+};
+
+/** The dynamic tasks of one trace under one partition. */
+struct TaskStream
+{
+    /** The trace the tasks are ranges of; shared, immutable. */
+    std::shared_ptr<const profile::Trace> trace;
+
+    std::vector<DynTask> tasks;
+
+    /**
+     * One bit per trace entry, set inside included callees: those
+     * instructions forward no register early (their values release
+     * at task end). Empty when the partition includes no call.
+     */
+    std::vector<bool> inCallee;
+
+    size_t size() const { return tasks.size(); }
+    bool empty() const { return tasks.empty(); }
+    const DynTask &operator[](size_t i) const { return tasks[i]; }
+    const DynTask &back() const { return tasks.back(); }
+    auto begin() const { return tasks.begin(); }
+    auto end() const { return tasks.end(); }
+
+    /** The instructions of @p t. */
+    std::span<const profile::TraceEntry>
+    insts(const DynTask &t) const
+    {
+        return {trace->entries.data() + t.begin, t.size()};
+    }
+
+    /** True when trace entry @p i runs inside an included callee. */
+    bool
+    inIncludedCallee(uint64_t i) const
+    {
+        return !inCallee.empty() && inCallee[i];
+    }
 };
 
 /**
  * Builds the dynamic task stream for @p trace under @p part.
  *
- * The program must have a code layout (Program::layout()). Every
- * block boundary in the trace is checked against the partition; a
- * malformed partition (control entering the middle of a task) throws.
+ * Every block boundary in the trace is checked against the partition;
+ * a malformed partition (control entering the middle of a task)
+ * throws.
  */
-std::vector<DynTask> cutTasks(const profile::Trace &trace,
-                              const tasksel::TaskPartition &part);
+TaskStream cutTasks(std::shared_ptr<const profile::Trace> trace,
+                    const tasksel::TaskPartition &part);
 
 } // namespace arch
 } // namespace msc

@@ -177,12 +177,13 @@ runDifferentialImpl(const ir::Program &prog,
             return failure(DiffKind::PartitionInvalid, cfg.name, err);
 
         profile::Interpreter itp(p);
-        profile::Trace trace = itp.trace(max_insts, gov);
-        if (!trace.completed)
+        auto trace = std::make_shared<const profile::Trace>(
+            itp.trace(max_insts, gov));
+        if (!trace->completed)
             return failure(DiffKind::NoHalt, cfg.name,
                            "transformed program exceeded budget");
 
-        std::vector<arch::DynTask> stream;
+        arch::TaskStream stream;
         try {
             stream = arch::cutTasks(trace, part);
         } catch (const std::exception &e) {

@@ -236,8 +236,7 @@ replayTrace(const Program &prog, const profile::Trace &trace)
 }
 
 ReplayResult
-replayTaskStream(const Program &prog,
-                 const std::vector<arch::DynTask> &tasks,
+replayTaskStream(const Program &prog, const arch::TaskStream &tasks,
                  const tasksel::TaskPartition &part)
 {
     Replayer r(prog);
@@ -250,7 +249,8 @@ replayTaskStream(const Program &prog,
 
     for (size_t ti = 0; ti < tasks.size(); ++ti) {
         const arch::DynTask &dt = tasks[ti];
-        if (dt.insts.empty())
+        std::span<const profile::TraceEntry> insts = tasks.insts(dt);
+        if (insts.empty())
             return structural("dynamic task " + std::to_string(ti) +
                               " is empty");
         if (dt.staticTask >= part.tasks.size())
@@ -259,7 +259,7 @@ replayTaskStream(const Program &prog,
         const tasksel::Task &st = part.tasks[dt.staticTask];
 
         // Every dynamic task must begin at its static task's entry.
-        const arch::DynInst &first = dt.insts.front();
+        const profile::TraceEntry &first = insts.front();
         if (first.ref.func != st.func || first.ref.block != st.entry ||
             first.ref.index != 0)
             return structural("dynamic task " + std::to_string(ti) +
@@ -270,14 +270,14 @@ replayTaskStream(const Program &prog,
         // functions; their blocks are exempt by construction.
         int depth = 0;
         bool track = true;
-        for (const arch::DynInst &di : dt.insts) {
+        for (const profile::TraceEntry &e : insts) {
             if (track && depth == 0 &&
-                part.taskIdOf(di.ref.func, di.ref.block) != dt.staticTask)
+                part.taskIdOf(e.ref.func, e.ref.block) != dt.staticTask)
                 return structural(
                     "dynamic task " + std::to_string(ti) +
                     " executes a block owned by another task");
-            const Instruction &in = prog.functions[di.ref.func]
-                .blocks[di.ref.block].insts[di.ref.index];
+            const Instruction &in = prog.functions[e.ref.func]
+                .blocks[e.ref.block].insts[e.ref.index];
             if (in.op == Opcode::Call)
                 ++depth;
             else if (in.op == Opcode::Ret) {
@@ -287,10 +287,9 @@ replayTaskStream(const Program &prog,
                     --depth;
             }
 
-            profile::TraceEntry rec{di.ref, di.addr, di.taken};
-            if (!r.step(rec)) {
+            if (!r.step(e)) {
                 bool is_last_record =
-                    ti + 1 == tasks.size() && &di == &dt.insts.back();
+                    ti + 1 == tasks.size() && &e == &insts.back();
                 if (r.halted() && !is_last_record)
                     return structural("task stream continues past Halt");
                 if (!r.halted() || !is_last_record)
@@ -301,7 +300,8 @@ replayTaskStream(const Program &prog,
         // Successor linkage: the next dynamic task must begin where
         // this one said control goes.
         if (ti + 1 < tasks.size()) {
-            const arch::DynInst &nf = tasks[ti + 1].insts.front();
+            const profile::TraceEntry &nf =
+                tasks.insts(tasks[ti + 1]).front();
             if (dt.nextEntry.func != nf.ref.func ||
                 dt.nextEntry.block != nf.ref.block)
                 return structural(

@@ -69,7 +69,7 @@ ReplayResult replayTrace(const ir::Program &prog,
  * where control actually went.
  */
 ReplayResult replayTaskStream(const ir::Program &prog,
-                              const std::vector<arch::DynTask> &tasks,
+                              const arch::TaskStream &tasks,
                               const tasksel::TaskPartition &part);
 
 } // namespace fuzz

@@ -62,12 +62,13 @@ struct PartitionArtifact
 /** Functional trace cut into the dynamic task stream a Multiscalar
  *  sequencer dispatches. Depends on the partition (task boundaries)
  *  and the trace budget — but not on arch::SimConfig, which is why
- *  hardware sweeps reuse it. */
+ *  hardware sweeps reuse it. The tasks are ranges of one trace that
+ *  every partition of the same transformed program shares. */
 struct TaskTrace
 {
     uint64_t key = 0;
     std::shared_ptr<const PartitionArtifact> partition;
-    std::vector<arch::DynTask> tasks;
+    arch::TaskStream tasks;
 
     /** Dynamic instructions in the trace (sum over tasks). */
     uint64_t traceInsts = 0;

@@ -28,6 +28,7 @@ enum : uint64_t
     TAG_TRACE = 0x7472616365000000ull,      // "trace\0\0\0"
     TAG_SIMULATE = 0x73696d756c617465ull,   // "simulate"
     TAG_INPUT = 0x696e707574000000ull,      // "input\0\0\0"
+    TAG_STREAM = 0x73747265616d0000ull,     // "stream\0\0"
 };
 
 /** Wall-clock accounting for one stage compute (hits record 0). */
@@ -220,6 +221,14 @@ Session::traceKey(const StageOptions &o) const
 }
 
 uint64_t
+Session::streamKey(const StageOptions &o) const
+{
+    Hasher h(TAG_STREAM);
+    h.word(transformKey(o)).word(o.trace.traceInsts);
+    return h.digest();
+}
+
+uint64_t
 Session::simulateKey(const StageOptions &o) const
 {
     // Every SimConfig field EXCEPT coreMode participates in the key.
@@ -340,14 +349,24 @@ Session::profile(const StageOptions &o)
                 [&](runtime::Governor &gov)
                     -> std::shared_ptr<const ProfileArtifact> {
                     // The interpreter's data-memory image is the
-                    // stage's dominant tracked allocation.
+                    // stage's dominant tracked allocation. The same
+                    // run records the trace stage's stream when that
+                    // is a prefix of it, so fuel is charged once.
                     gov.chargeHeap(tp->prog->memWords *
                                    sizeof(int64_t));
                     auto pa = std::make_shared<ProfileArtifact>();
                     pa->key = key;
                     pa->transformed = tp;
+                    std::shared_ptr<profile::Trace> stream;
+                    if (o.trace.traceInsts <= o.profile.profileInsts)
+                        stream = std::make_shared<profile::Trace>();
                     pa->profile = profile::profileProgram(
-                        *tp->prog, o.profile.profileInsts, &gov);
+                        *tp->prog, o.profile.profileInsts, &gov,
+                        stream.get(), o.trace.traceInsts);
+                    if (stream)
+                        _streams.getOrCompute(
+                            streamKey(o), _streamCtr,
+                            [&] { return std::move(stream); });
                     _disk.store(*pa);
                     return pa;
                 });
@@ -415,18 +434,24 @@ Session::trace(const StageOptions &o)
                 o, StageKind::Trace,
                 [&](runtime::Governor &gov)
                     -> std::shared_ptr<const TaskTrace> {
+                    const ir::Program &prog = *part->transformed->prog;
+                    // Interprets only when no profile run of this
+                    // process recorded the stream (a profile loaded
+                    // from disk, or traceInsts > profileInsts).
+                    auto stream = _streams.getOrCompute(
+                        streamKey(o), _streamCtr, [&] {
+                            gov.chargeHeap(prog.memWords *
+                                           sizeof(int64_t));
+                            profile::Interpreter interp(prog);
+                            return std::make_shared<profile::Trace>(
+                                interp.trace(o.trace.traceInsts, &gov));
+                        });
                     auto tt = std::make_shared<TaskTrace>();
                     tt->key = key;
                     tt->partition = part;
-                    gov.chargeHeap(
-                        part->transformed->prog->memWords *
-                        sizeof(int64_t));
-                    profile::Interpreter interp(
-                        *part->transformed->prog);
-                    profile::Trace raw =
-                        interp.trace(o.trace.traceInsts, &gov);
-                    tt->tasks = arch::cutTasks(raw, part->partition);
-                    tt->traceInsts = raw.size();
+                    tt->traceInsts = stream->size();
+                    tt->tasks = arch::cutTasks(std::move(stream),
+                                               part->partition);
                     return tt;
                 });
         });

@@ -21,7 +21,9 @@
  *    hardware sweep over one strategy runs the frontend once and
  *    fans out N timing simulations;
  *  - strategy changes invalidate selection and trace but reuse the
- *    transform and profile artifacts;
+ *    transform and profile artifacts — and the functional trace
+ *    itself: the profile run records it, and every partition's
+ *    TaskTrace cuts ranges of that one stream;
  *  - with a cache directory (SessionConfig::cacheDir) the frontend
  *    artifacts persist across processes.
  *
@@ -154,6 +156,10 @@ class Session
     std::shared_ptr<const SimArtifact>
     computeSimulate(const StageOptions &o, uint64_t key);
 
+    /** Key of the functional trace of the first traceInsts
+     *  instructions of the transformed program. */
+    uint64_t streamKey(const StageOptions &o) const;
+
     std::shared_ptr<const ir::Program> _input;
     uint64_t _inputKey = 0;
     DiskCache _disk;
@@ -163,6 +169,12 @@ class Session
     KeyedCache<PartitionArtifact> _partitions;
     KeyedCache<TaskTrace> _traces;
     KeyedCache<SimArtifact> _sims;
+
+    /** Functional traces by streamKey: recorded by the profile run
+     *  (when traceInsts <= profileInsts) or by the first trace stage
+     *  that finds none. Not a stage, so not in CacheStats. */
+    KeyedCache<profile::Trace> _streams;
+    AtomicStageCounters _streamCtr;
 
     AtomicStageCounters _ctr[NUM_STAGES];
 };

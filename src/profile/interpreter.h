@@ -31,9 +31,9 @@ namespace profile {
  * Allocator that hands out zeroed pages straight from the OS (calloc)
  * and skips the container's own element zero-fill. A workload's data
  * image is tens of MB but sparsely touched; with an eager memset every
- * page materializes up front, which dominates frontend time when the
- * pipeline constructs one interpreter per (partition, traceInsts)
- * combination. Only safe for containers that never shrink-then-regrow
+ * page materializes up front, which would dominate the interpreter
+ * runs of small workloads (the pipeline's profile run, the fuzzer's
+ * reference runs). Only safe for containers that never shrink-then-regrow
  * into reused storage (the skipped fill would expose stale values);
  * the interpreter's memory image is sized once and never resized.
  */
@@ -244,21 +244,17 @@ class Interpreter
         return _count;
     }
 
-    /** Runs and captures the full dynamic trace. The trace buffer is
-     *  the pipeline's dominant allocation, so its planned reservation
-     *  is charged against @p gov's heap watermark up front. */
+    /** Runs and captures the full dynamic trace (its reservation is
+     *  charged to @p gov's heap watermark; Trace::reserve). */
     Trace
     trace(uint64_t max_insts = DEFAULT_MAX_INSTS,
           runtime::Governor *gov = nullptr)
     {
         Trace t;
-        uint64_t planned = std::min<uint64_t>(max_insts, 1u << 22);
-        if (gov)
-            gov->chargeHeap(planned * sizeof(TraceEntry));
-        t.entries.reserve(planned);
+        t.reserve(max_insts, gov);
         run([&](ir::InstRef ref, const ir::Instruction &, uint64_t addr,
                 bool taken) {
-            t.entries.push_back({ref, addr, taken});
+            t.entries.push_back({ref, taken, addr});
         }, max_insts, gov);
         t.completed = _halted;
         return t;

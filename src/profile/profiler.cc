@@ -7,8 +7,12 @@ namespace profile {
 
 Profile
 profileProgram(const ir::Program &prog, uint64_t max_insts,
-               runtime::Governor *gov)
+               runtime::Governor *gov, Trace *stream,
+               uint64_t stream_insts)
 {
+    if (stream)
+        stream->reserve(stream_insts, gov);
+
     Profile p;
     p.blockCount.resize(prog.functions.size());
     for (const auto &f : prog.functions)
@@ -35,7 +39,10 @@ profileProgram(const ir::Program &prog, uint64_t max_insts,
 
     Interpreter interp(prog);
     interp.run([&](ir::InstRef ref, const ir::Instruction &in,
-                   uint64_t, bool) {
+                   uint64_t addr, bool taken) {
+        if (stream && stream->entries.size() < stream_insts)
+            stream->entries.push_back({ref, taken, addr});
+
         // Block entry counting.
         if (ref.index == 0)
             p.blockCount[ref.func][ref.block]++;
@@ -92,6 +99,9 @@ profileProgram(const ir::Program &prog, uint64_t max_insts,
     }, max_insts, gov);
 
     p.totalInsts = interp.instCount();
+    if (stream)
+        stream->completed =
+            interp.halted() && interp.instCount() <= stream_insts;
     return p;
 }
 

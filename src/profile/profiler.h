@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "ir/program.h"
+#include "profile/trace.h"
 #include "runtime/budget.h"
 
 namespace msc {
@@ -126,10 +127,16 @@ struct Profile
  * @param gov optional execution governor: charged one fuel per
  *        retired instruction and pulse-checked for cancellation and
  *        deadlines (see runtime/budget.h).
+ * @param stream when non-null, the same run also records its first
+ *        @p stream_insts instructions into it, exactly as
+ *        Interpreter::trace(stream_insts) would; its reservation is
+ *        charged to @p gov's heap watermark.
  */
 Profile profileProgram(const ir::Program &prog,
                        uint64_t max_insts = 50'000'000,
-                       runtime::Governor *gov = nullptr);
+                       runtime::Governor *gov = nullptr,
+                       Trace *stream = nullptr,
+                       uint64_t stream_insts = 0);
 
 } // namespace profile
 } // namespace msc

@@ -4,25 +4,29 @@
  *
  * The functional interpreter emits one TraceEntry per retired
  * instruction; the Multiscalar timing model replays the stream,
- * cutting it into dynamic tasks per a TaskPartition.
+ * cutting it into dynamic tasks per a TaskPartition. The pipeline
+ * records the stream during the profile run, and every partition of
+ * the same program cuts its tasks as ranges of that one stream.
  */
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "ir/types.h"
+#include "runtime/budget.h"
 
 namespace msc {
 namespace profile {
 
-/** One dynamically executed instruction. */
+/** One dynamically executed instruction (24 bytes). */
 struct TraceEntry
 {
     ir::InstRef ref;        ///< Static instruction identity.
-    uint64_t addr = 0;      ///< Effective word address for memory ops.
     bool taken = false;     ///< Outcome for conditional branches.
+    uint64_t addr = 0;      ///< Effective word address for memory ops.
 };
 
 /** A full dynamic trace. */
@@ -35,6 +39,18 @@ struct Trace
 
     size_t size() const { return entries.size(); }
     const TraceEntry &operator[](size_t i) const { return entries[i]; }
+
+    /** Reserves room for a run of up to @p max_insts instructions.
+     *  The buffer is the frontend's dominant allocation, so the
+     *  planned bytes are charged to @p gov's heap watermark first. */
+    void
+    reserve(uint64_t max_insts, runtime::Governor *gov)
+    {
+        uint64_t planned = std::min<uint64_t>(max_insts, 1u << 22);
+        if (gov)
+            gov->chargeHeap(planned * sizeof(TraceEntry));
+        entries.reserve(planned);
+    }
 };
 
 } // namespace profile

@@ -45,21 +45,20 @@ struct Prepared
 {
     ir::Program prog;
     tasksel::TaskPartition part;
-    profile::Trace trace;
-    std::vector<DynTask> tasks;
+    TaskStream tasks;
 };
 
 Prepared
 prepare(ir::Program p, Strategy s)
 {
-    Prepared out{std::move(p), {}, {}, {}};
+    Prepared out{std::move(p), {}, {}};
     profile::Profile prof = profile::profileProgram(out.prog);
     tasksel::SelectionOptions opts;
     opts.strategy = s;
     out.part = tasksel::selectTasks(out.prog, prof, opts);
     profile::Interpreter in(out.prog);
-    out.trace = in.trace();
-    out.tasks = cutTasks(out.trace, out.part);
+    out.tasks = cutTasks(
+        std::make_shared<const profile::Trace>(in.trace()), out.part);
     return out;
 }
 

@@ -203,11 +203,11 @@ TEST(FuzzReplay, DetectsTruncatedTaskStream)
     tasksel::TaskPartition part = tasksel::selectTasks(p, prof, sel);
 
     profile::Interpreter in(p);
-    profile::Trace t = in.trace(kRunBudget);
-    std::vector<arch::DynTask> stream = arch::cutTasks(t, part);
+    arch::TaskStream stream = arch::cutTasks(
+        std::make_shared<const profile::Trace>(in.trace(kRunBudget)), part);
     ASSERT_GT(stream.size(), 1u);
 
-    stream.pop_back();                 // Lose the final task.
+    stream.tasks.pop_back();           // Lose the final task.
     fuzz::ReplayResult r = fuzz::replayTaskStream(p, stream, part);
     EXPECT_FALSE(r.ok);
 }

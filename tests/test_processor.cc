@@ -25,8 +25,8 @@ struct Prepared
 {
     Program prog;
     TaskPartition part;
-    profile::Trace trace;
-    std::vector<DynTask> tasks;
+    std::shared_ptr<const profile::Trace> trace;
+    TaskStream tasks;
 };
 
 Prepared
@@ -39,7 +39,7 @@ prepare(Program p, Strategy s, bool size_heur = false)
     opts.taskSizeHeuristic = size_heur;
     out.part = selectTasks(out.prog, prof, opts);
     profile::Interpreter in(out.prog);
-    out.trace = in.trace();
+    out.trace = std::make_shared<const profile::Trace>(in.trace());
     out.tasks = cutTasks(out.trace, out.part);
     return out;
 }
@@ -52,13 +52,14 @@ TEST(TaskStream, ConcatenationEqualsTrace)
                       Strategy::ControlFlow);
     size_t total = 0;
     for (const auto &t : pr.tasks)
-        total += t.insts.size();
-    EXPECT_EQ(total, pr.trace.size());
-    // Order preserved.
-    size_t k = 0;
-    for (const auto &t : pr.tasks)
-        for (const auto &di : t.insts)
-            EXPECT_EQ(di.ref, pr.trace[k++].ref);
+        total += t.size();
+    EXPECT_EQ(total, pr.trace->size());
+    // Order preserved: each task's range starts where the last ended.
+    uint64_t k = 0;
+    for (const auto &t : pr.tasks) {
+        EXPECT_EQ(t.begin, k);
+        k = t.end;
+    }
 }
 
 TEST(TaskStream, EveryTaskStartsAtItsEntry)
@@ -66,9 +67,10 @@ TEST(TaskStream, EveryTaskStartsAtItsEntry)
     auto pr = prepare(test::makeLoopProgram(20), Strategy::ControlFlow);
     for (const auto &t : pr.tasks) {
         const Task &st = pr.part.tasks[t.staticTask];
-        EXPECT_EQ(t.insts.front().ref.block, st.entry);
-        EXPECT_EQ(t.insts.front().ref.index, 0u);
-        EXPECT_EQ(t.insts.front().ref.func, st.func);
+        const ir::InstRef &first = pr.tasks.insts(t).front().ref;
+        EXPECT_EQ(first.block, st.entry);
+        EXPECT_EQ(first.index, 0u);
+        EXPECT_EQ(first.func, st.func);
     }
 }
 
@@ -91,8 +93,8 @@ TEST(TaskStream, BasicBlockTasksAreSingleBlocks)
 {
     auto pr = prepare(test::makeDiamondProgram(8), Strategy::BasicBlock);
     for (const auto &t : pr.tasks) {
-        BlockId b = t.insts.front().ref.block;
-        for (const auto &di : t.insts)
+        BlockId b = pr.tasks.insts(t).front().ref.block;
+        for (const auto &di : pr.tasks.insts(t))
             EXPECT_EQ(di.ref.block, b);
     }
 }
@@ -105,9 +107,14 @@ TEST(TaskStream, IncludedCallStaysInCallerTask)
     // Callee instructions appear inside tasks whose static task
     // belongs to main.
     const Function *callee = pr.prog.findFunction("twice");
+    // Exactly the callee's instructions are marked: they forward no
+    // register early.
+    for (uint64_t i = 0; i < pr.trace->size(); ++i)
+        EXPECT_EQ(pr.tasks.inIncludedCallee(i),
+                  (*pr.trace)[i].ref.func == callee->id) << i;
     for (const auto &t : pr.tasks) {
         bool has_callee = false;
-        for (const auto &di : t.insts)
+        for (const auto &di : pr.tasks.insts(t))
             if (di.ref.func == callee->id)
                 has_callee = true;
         if (has_callee) {
@@ -122,11 +129,12 @@ TEST(TaskStream, NonIncludedCallSplitsTasks)
     auto pr = prepare(test::makeCallProgram(10, true),
                       Strategy::ControlFlow, /*size=*/false);
     const Function *callee = pr.prog.findFunction("twice");
+    EXPECT_TRUE(pr.tasks.inCallee.empty());
     bool callee_task = false;
     for (const auto &t : pr.tasks) {
         if (pr.part.tasks[t.staticTask].func == callee->id) {
             callee_task = true;
-            for (const auto &di : t.insts)
+            for (const auto &di : pr.tasks.insts(t))
                 EXPECT_EQ(di.ref.func, callee->id);
         }
     }
@@ -145,7 +153,7 @@ TEST(Simulate, RetiresEverything)
 {
     auto pr = prepare(test::makeLoopProgram(30), Strategy::ControlFlow);
     SimStats s = simulate(pr.part, pr.tasks, SimConfig::paperConfig(4));
-    EXPECT_EQ(s.retiredInsts, pr.trace.size());
+    EXPECT_EQ(s.retiredInsts, pr.trace->size());
     EXPECT_EQ(s.retiredTasks, pr.tasks.size());
     EXPECT_GT(s.cycles, 0u);
     EXPECT_GT(s.ipc(), 0.0);
@@ -191,7 +199,7 @@ TEST(Simulate, MemViolationsDetectedOnConflicts)
     auto pr = prepare(test::makeConflictProgram(64),
                       Strategy::BasicBlock);
     SimStats s = simulate(pr.part, pr.tasks, SimConfig::paperConfig(4));
-    EXPECT_EQ(s.retiredInsts, pr.trace.size());
+    EXPECT_EQ(s.retiredInsts, pr.trace->size());
     EXPECT_GT(s.memViolations, 0u);
     EXPECT_GT(s.tasksSquashedMem, 0u);
 }
@@ -244,7 +252,7 @@ TEST(Simulate, TaskOverheadScalesWithTaskCount)
 TEST(Simulate, EmptyStreamIsFine)
 {
     auto pr = prepare(test::makeLoopProgram(1), Strategy::BasicBlock);
-    std::vector<DynTask> none;
+    TaskStream none;
     SimStats s = simulate(pr.part, none, SimConfig::paperConfig(4));
     EXPECT_EQ(s.cycles, 0u);
     EXPECT_EQ(s.retiredInsts, 0u);

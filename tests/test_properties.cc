@@ -199,7 +199,7 @@ struct SimPrep
 {
     ir::Program prog;
     tasksel::TaskPartition part;
-    std::vector<DynTask> tasks;
+    TaskStream tasks;
     size_t traceLen = 0;
 };
 
@@ -213,8 +213,8 @@ prepRandom(uint64_t seed, tasksel::Strategy s)
     opts.strategy = s;
     out.part = tasksel::selectTasks(out.prog, prof, opts);
     profile::Interpreter in(out.prog);
-    auto trace = in.trace(40'000);
-    out.traceLen = trace.size();
+    auto trace = std::make_shared<const profile::Trace>(in.trace(40'000));
+    out.traceLen = trace->size();
     out.tasks = cutTasks(trace, out.part);
     return out;
 }
@@ -267,14 +267,14 @@ TEST_P(StreamProperty, DynamicStreamAgreesWithPartition)
         size_t total = 0;
         for (size_t i = 0; i < pr.tasks.size(); ++i) {
             const DynTask &t = pr.tasks[i];
-            total += t.insts.size();
+            total += t.size();
             const tasksel::Task &st = pr.part.tasks[t.staticTask];
             // Starts at the static entry.
-            ASSERT_EQ(t.insts.front().ref.block, st.entry);
+            ASSERT_EQ(pr.tasks.insts(t).front().ref.block, st.entry);
             // Every instruction's block is a member of the static
             // task (included calls aside — random programs have no
             // calls).
-            for (const DynInst &di : t.insts)
+            for (const profile::TraceEntry &di : pr.tasks.insts(t))
                 ASSERT_TRUE(st.contains(di.ref.block))
                     << "dyn task " << i;
             // The recorded successor matches the next task's entry.

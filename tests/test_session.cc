@@ -16,7 +16,11 @@
  *    grid (2 strategies x 4 SimConfigs) computes exactly 2 frontends;
  *  - StageResults artifacts outlive their Session and stay safely
  *    copyable/movable: they share ownership of the transformed
- *    program that `partition.prog` aliases.
+ *    program that `partition.prog` aliases;
+ *  - one interpreter run per program: the strategies' TaskTraces are
+ *    ranges of one shared stream, recorded by the profile run (or,
+ *    after a disk-loaded profile, by the first trace stage), without
+ *    moving any stage counter.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +32,7 @@
 #include "helpers.h"
 #include "pipeline/pool.h"
 #include "pipeline/session.h"
+#include "profile/interpreter.h"
 #include "report/record.h"
 #include "report/sweep.h"
 #include "workloads/workload.h"
@@ -333,6 +338,117 @@ TEST(SessionSweep, AcceptanceGridComputesExactlyTwoFrontends)
     EXPECT_EQ(stats[StageKind::Select].computed, 2u);
     EXPECT_EQ(stats[StageKind::Trace].computed, 2u);
     EXPECT_EQ(stats[StageKind::Simulate].computed, 8u);
+}
+
+// ------------------------------------------------ one shared stream
+
+namespace {
+
+const tasksel::Strategy ALL_STRATEGIES[] = {
+    tasksel::Strategy::BasicBlock, tasksel::Strategy::ControlFlow,
+    tasksel::Strategy::DataDependence};
+
+/** Traces every strategy under @p o; returns the three artifacts. */
+std::vector<std::shared_ptr<const pipeline::TaskTrace>>
+traceAllStrategies(Session &s, StageOptions o)
+{
+    std::vector<std::shared_ptr<const pipeline::TaskTrace>> out;
+    for (tasksel::Strategy st : ALL_STRATEGIES) {
+        o.sel.strategy = st;
+        out.push_back(s.trace(o));
+    }
+    return out;
+}
+
+/** @p stream equals a fresh Interpreter::trace of the same length. */
+void
+expectIndependentTrace(const ir::Program &prog,
+                       const profile::Trace &stream, uint64_t insts)
+{
+    profile::Interpreter in(prog);
+    profile::Trace ref = in.trace(insts);
+    ASSERT_EQ(stream.size(), ref.size());
+    EXPECT_EQ(stream.completed, ref.completed);
+    for (size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_EQ(stream[i].ref, ref[i].ref) << i;
+        ASSERT_EQ(stream[i].addr, ref[i].addr) << i;
+        ASSERT_EQ(stream[i].taken, ref[i].taken) << i;
+    }
+}
+
+} // anonymous namespace
+
+TEST(SessionStream, StrategiesShareTheProfileRunsStream)
+{
+    Session s(workloads::buildWorkload("compress",
+                                       workloads::Scale::Small));
+    StageOptions o = ddOptions();
+    auto tts = traceAllStrategies(s, o);
+
+    const profile::Trace *stream = tts[0]->tasks.trace.get();
+    ASSERT_NE(stream, nullptr);
+    for (const auto &tt : tts) {
+        EXPECT_EQ(tt->tasks.trace.get(), stream);
+        EXPECT_EQ(tt->traceInsts, stream->size());
+    }
+    EXPECT_EQ(stream->size(), o.trace.traceInsts);
+    expectIndependentTrace(*tts[0]->partition->transformed->prog,
+                           *stream, o.trace.traceInsts);
+
+    // The counters read as they did when every trace stage ran its
+    // own interpreter: the shared stream is not a stage.
+    const CacheStats c = s.cacheStats();
+    auto expect = [&](StageKind k, uint64_t computed, uint64_t hits) {
+        SCOPED_TRACE(pipeline::stageName(k));
+        EXPECT_EQ(c[k].computed, computed);
+        EXPECT_EQ(c[k].hits, hits);
+        EXPECT_EQ(c[k].diskHits, 0u);
+    };
+    expect(StageKind::Transform, 1, 0);
+    expect(StageKind::Profile, 1, 2);
+    expect(StageKind::Select, 3, 0);
+    expect(StageKind::Trace, 3, 0);
+    expect(StageKind::Simulate, 0, 0);
+}
+
+TEST(SessionStream, TraceLongerThanProfileIsInterpretedOnce)
+{
+    Session s(workloads::buildWorkload("compress",
+                                       workloads::Scale::Small));
+    StageOptions o = ddOptions();
+    o.trace.traceInsts = o.profile.profileInsts + 5'000;
+    auto tts = traceAllStrategies(s, o);
+
+    for (const auto &tt : tts)
+        EXPECT_EQ(tt->tasks.trace.get(), tts[0]->tasks.trace.get());
+    expectIndependentTrace(*tts[0]->partition->transformed->prog,
+                           *tts[0]->tasks.trace, o.trace.traceInsts);
+    EXPECT_EQ(computedAt(s, StageKind::Trace), 3u);
+}
+
+TEST(SessionStream, DiskLoadedProfileStillSharesOneStream)
+{
+    const std::string dir = freshCacheDir("stream");
+    ir::Program prog =
+        workloads::buildWorkload("compress", workloads::Scale::Small);
+    StageOptions o = ddOptions();
+    Session cold(prog, SessionConfig{dir});
+    auto cold_tts = traceAllStrategies(cold, o);
+
+    // The warm Session loads the profile, so no profile run records
+    // the stream: the first trace stage interprets it for all three.
+    Session warm(prog, SessionConfig{dir});
+    auto tts = traceAllStrategies(warm, o);
+    EXPECT_EQ(computedAt(warm, StageKind::Profile), 0u);
+    EXPECT_EQ(warm.cacheStats()[StageKind::Profile].diskHits, 1u);
+    EXPECT_EQ(computedAt(warm, StageKind::Trace), 3u);
+    for (size_t i = 0; i < tts.size(); ++i) {
+        EXPECT_EQ(tts[i]->tasks.trace.get(), tts[0]->tasks.trace.get());
+        EXPECT_EQ(tts[i]->tasks.size(), cold_tts[i]->tasks.size());
+    }
+    expectIndependentTrace(*tts[0]->partition->transformed->prog,
+                           *tts[0]->tasks.trace, o.trace.traceInsts);
+    std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------ artifacts outlive the Session

@@ -60,17 +60,20 @@ TEST(SimAlloc, BusyPathDoesNotAllocatePerTask)
         opts.strategy = tasksel::Strategy::ControlFlow;
         tasksel::TaskPartition part =
             tasksel::selectTasks(prog, prof, opts);
-        std::vector<std::vector<DynTask>> streams;
+        std::vector<TaskStream> streams;
         for (uint64_t insts : {20'000, 200'000}) {
             profile::Interpreter interp(prog);
-            streams.push_back(cutTasks(interp.trace(insts), part));
+            streams.push_back(cutTasks(
+                std::make_shared<const profile::Trace>(
+                    interp.trace(insts)),
+                part));
         }
 
         for (unsigned pus : {4u, 8u}) {
             SimConfig cfg = SimConfig::paperConfig(pus, true);
             std::vector<uint64_t> counts;
             std::vector<size_t> tasks;
-            for (const std::vector<DynTask> &stream : streams) {
+            for (const TaskStream &stream : streams) {
                 simulate(part, stream, cfg);  // Warm the thread.
                 uint64_t before = allocations.load();
                 simulate(part, stream, cfg);

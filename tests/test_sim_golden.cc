@@ -221,7 +221,7 @@ struct Prepared
 {
     ir::Program prog;
     tasksel::TaskPartition part;
-    std::vector<DynTask> tasks;
+    TaskStream tasks;
 };
 
 const Prepared &
@@ -245,7 +245,9 @@ prepared(const Golden &g)
     profile::Profile prof = profile::profileProgram(p.prog);
     p.part = tasksel::selectTasks(p.prog, prof, opts);
     profile::Interpreter in(p.prog);
-    p.tasks = cutTasks(in.trace(TRACE_INSTS), p.part);
+    p.tasks = cutTasks(
+        std::make_shared<const profile::Trace>(in.trace(TRACE_INSTS)),
+        p.part);
     return p;
 }
 
