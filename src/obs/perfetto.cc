@@ -1,6 +1,6 @@
 #include "obs/perfetto.h"
 
-#include "report/record.h"
+#include "report/json.h"
 
 namespace msc {
 namespace obs {

@@ -3,8 +3,11 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <stdexcept>
+
+#include "runtime/error.h"
 
 namespace msc {
 namespace report {
@@ -545,6 +548,20 @@ Json
 Json::parse(const std::string &text)
 {
     return Parser(text).document();
+}
+
+void
+writeFile(const std::string &path, const std::string &content)
+{
+    std::ofstream f(path, std::ios::binary);
+    if (!f)
+        throw runtime::StageError(runtime::ErrorKind::Io, "report",
+                                  "cannot open " + path +
+                                      " for writing");
+    f << content;
+    if (!f)
+        throw runtime::StageError(runtime::ErrorKind::Io, "report",
+                                  "write failed for " + path);
 }
 
 } // namespace report

@@ -117,5 +117,9 @@ class Json
     std::vector<std::pair<std::string, Json>> _obj;
 };
 
+/** Writes @p content to @p path; throws runtime::StageError
+ *  (ErrorKind::Io) on failure. */
+void writeFile(const std::string &path, const std::string &content);
+
 } // namespace report
 } // namespace msc

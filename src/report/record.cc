@@ -1,6 +1,5 @@
 #include "report/record.h"
 
-#include <fstream>
 #include <stdexcept>
 
 #include "arch/stats.h"
@@ -330,20 +329,6 @@ sweepToCsv(const std::vector<RunRecord> &records)
         out += '\n';
     }
     return out;
-}
-
-void
-writeFile(const std::string &path, const std::string &content)
-{
-    std::ofstream f(path, std::ios::binary);
-    if (!f)
-        throw runtime::StageError(runtime::ErrorKind::Io, "report",
-                                  "cannot open " + path +
-                                      " for writing");
-    f << content;
-    if (!f)
-        throw runtime::StageError(runtime::ErrorKind::Io, "report",
-                                  "write failed for " + path);
 }
 
 } // namespace report

@@ -158,10 +158,6 @@ int sweepExitCode(const std::vector<RunRecord> &records);
  *  return "?". */
 const char *sweepStatusName(int exit_code);
 
-/** Writes @p content to @p path; throws runtime::StageError
- *  (ErrorKind::Io) on failure. */
-void writeFile(const std::string &path, const std::string &content);
-
 /** Short name for @p s as used in ids and the schema ("bb", "cf",
  *  "dd"). */
 const char *strategyId(tasksel::Strategy s);
