@@ -9,7 +9,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/arb.h"
@@ -21,6 +23,8 @@
 #include "profile/profiler.h"
 #include "tasksel/selector.h"
 #include "workloads/workload.h"
+
+#include "bench_common.h"
 
 using namespace msc;
 
@@ -219,38 +223,46 @@ BENCHMARK(BM_ArbTraffic);
  * reporters: --json F → --benchmark_out=F in JSON format (gbench's
  * own schema, not docs/METRICS.md — these are component timings, not
  * simulation metrics), --csv F likewise in CSV format. --jobs is
- * accepted and ignored: micro-benchmarks time single-threaded
- * primitives, so parallel dispatch would perturb them.
+ * checked and ignored: micro-benchmarks time single-threaded
+ * primitives, so parallel dispatch would perturb them. Arguments that
+ * start with --benchmark_ go to google-benchmark untouched; anything
+ * else is a usage error (exit 2).
  */
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> args;
-    args.emplace_back(argv[0]);
+    std::string json, csv;
+    report::FlagSet f(argv[0], "--benchmark_* arguments pass through "
+                               "to google-benchmark.");
+    f.flag("--json", &json, "file",
+           "write google-benchmark's JSON report");
+    f.flag("--csv", &csv, "file", "write google-benchmark's CSV report");
+    f.func("--jobs", "N", "accepted and ignored (runs serially)",
+           [](const std::string &v) {
+               report::parseUnsigned<unsigned>("--jobs", v);
+               std::fprintf(stderr,
+                            "bench_micro: --jobs ignored (timing "
+                            "micro-benchmarks run serially)\n");
+           });
+
+    std::vector<char *> ours{argv[0]};
+    std::vector<std::string> args{argv[0]};
     for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto val = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", a.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (a == "--json") {
-            args.push_back("--benchmark_out=" + val());
-            args.push_back("--benchmark_out_format=json");
-        } else if (a == "--csv") {
-            args.push_back("--benchmark_out=" + val());
-            args.push_back("--benchmark_out_format=csv");
-        } else if (a == "--jobs") {
-            (void)val();
-            std::fprintf(stderr,
-                         "bench_micro: --jobs ignored (timing "
-                         "micro-benchmarks run serially)\n");
-        } else {
-            args.push_back(a);
+        if (std::strncmp(argv[i], "--benchmark_", 12) == 0)
+            args.emplace_back(argv[i]);
+        else
+            ours.push_back(argv[i]);
+    }
+    bench::parseOrExit(f, int(ours.size()), ours.data());
+    for (const auto &[path, format] : {std::pair{json, "json"},
+                                       std::pair{csv, "csv"}}) {
+        if (!path.empty()) {
+            args.push_back("--benchmark_out=" + path);
+            args.push_back(std::string("--benchmark_out_format=") +
+                           format);
         }
     }
+
     std::vector<char *> cargs;
     for (auto &s : args)
         cargs.push_back(s.data());

@@ -5,17 +5,23 @@
  *
  *   ./partition_explorer [workload] [bb|cf|dd] [N]
  *
+ * N, the per-task target limit, is in [1, 64]. A bad argument prints
+ * usage and exits 1.
+ *
  * Prints every task with its blocks, exposed targets, create mask and
  * safe forward points — the compiler's entire hand-off to the
  * Multiscalar hardware.
  */
 
 #include <cstdio>
-#include <cstring>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "ir/printer.h"
 #include "pipeline/session.h"
+#include "report/flags.h"
+#include "report/record.h"
 #include "workloads/workload.h"
 
 using namespace msc;
@@ -47,20 +53,53 @@ maskToString(cfg::RegSet m)
 int
 main(int argc, char **argv)
 {
-    std::string name = argc > 1 ? argv[1] : "compress";
-    std::string strat = argc > 2 ? argv[2] : "dd";
-    unsigned n = argc > 3 ? unsigned(atoi(argv[3])) : 4;
+    std::string name = "compress";
+    tasksel::Strategy strategy = tasksel::Strategy::DataDependence;
+    unsigned n = 4;
+
+    std::vector<std::string> pos;
+    bool help = false;
+    report::FlagSet f("partition_explorer",
+                      "defaults: compress dd 4; N is the target limit "
+                      "in [1, 64]");
+    f.positionals(&pos, "[workload] [bb|cf|dd] [N]");
+    f.flag("--help", &help, "print this help");
+    try {
+        f.parse(argc - 1, argv + 1);
+        if (pos.size() > 3)
+            throw std::invalid_argument("unexpected argument " + pos[3]);
+        if (pos.size() > 0)
+            name = pos[0];
+        if (pos.size() > 1)
+            strategy = report::strategyFromId(pos[1]);
+        if (pos.size() > 2)
+            n = report::parseUnsigned<unsigned>("N", pos[2], 64);
+        if (n == 0)
+            throw std::invalid_argument("N must be in [1, 64]");
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "%s\nusage: %s", e.what(),
+                     f.usage().c_str());
+        return 1;
+    }
+    if (help) {
+        std::printf("usage: %s", f.usage().c_str());
+        return 0;
+    }
 
     tasksel::SelectionOptions sel;
-    sel.strategy = strat == "bb" ? tasksel::Strategy::BasicBlock
-                 : strat == "cf" ? tasksel::Strategy::ControlFlow
-                                 : tasksel::Strategy::DataDependence;
+    sel.strategy = strategy;
     sel.maxTargets = n;
     pipeline::StageOptions o = pipeline::StageOptions::fromSelection(sel);
 
     // select() stops after the frontend: no trace, no timing model.
-    pipeline::Session session(
-        workloads::buildWorkload(name, workloads::Scale::Small));
+    ir::Program input;
+    try {
+        input = workloads::buildWorkload(name, workloads::Scale::Small);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
+    }
+    pipeline::Session session(std::move(input));
     auto part = session.select(o);
     const tasksel::TaskPartition &partition = part->partition;
     const ir::Program &p = *part->transformed->prog;
