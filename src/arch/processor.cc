@@ -272,28 +272,22 @@ class Simulator
     {
         _stats.puOccupiedCycles.assign(cfg.numPUs, 0);
 
-        // Decode per-static-instruction facts once — dispatch touches
-        // them for every dynamic instruction of every instance, and
-        // the static program is tiny. Only the event core predecodes
-        // operand lists; the reference core re-decodes per dispatch
-        // like the seed.
-        const Program &prog = *part.prog;
-        _static.resize(prog.functions.size());
-        for (size_t f = 0; f < _static.size(); ++f) {
-            const auto &fn = prog.functions[f];
-            _static[f].resize(fn.blocks.size());
-            for (size_t b = 0; b < fn.blocks.size(); ++b) {
-                const auto &bb = fn.blocks[b];
-                auto &row = _static[f][b];
-                row.resize(bb.insts.size());
-                for (uint32_t i = 0; i < bb.insts.size(); ++i) {
-                    StaticInst &si = row[i];
-                    si.inst = &bb.insts[i];
-                    si.pc = prog.instAddr(FuncId(f), BlockId(b), i);
-                    si.fwdSafe = part.fwdSafe[f][b][i];
-                    if constexpr (EV) {
-                        bb.insts[i].uses(si.srcs);
-                        bb.insts[i].defs(si.dsts);
+        // Event core: decode per-static-instruction operand lists
+        // once — dispatch touches them for every dynamic instruction
+        // of every instance, and the static program is tiny. The
+        // reference core re-decodes per dispatch like the seed.
+        if constexpr (EV) {
+            _operands.resize(part.prog->functions.size());
+            for (size_t f = 0; f < _operands.size(); ++f) {
+                const auto &fn = part.prog->functions[f];
+                _operands[f].resize(fn.blocks.size());
+                for (size_t b = 0; b < fn.blocks.size(); ++b) {
+                    const auto &bb = fn.blocks[b];
+                    auto &ops = _operands[f][b];
+                    ops.resize(bb.insts.size());
+                    for (size_t i = 0; i < bb.insts.size(); ++i) {
+                        bb.insts[i].uses(ops[i].srcs);
+                        bb.insts[i].defs(ops[i].dsts);
                     }
                 }
             }
@@ -325,33 +319,6 @@ class Simulator
     void noteArbStall(unsigned pu);
     uint64_t nextEventCycle() const;
     void skipTo(uint64_t target);
-
-    /** Per-static-instruction facts, indexed [func][block][index] by
-     *  InstRef. */
-    struct StaticInst
-    {
-        const Instruction *inst = nullptr;
-        uint64_t pc = 0;            ///< Code byte address.
-        /** Registers to forward on the ring right after execution
-         *  (fwdSafe of the owning static task). */
-        RegSet fwdSafe = 0;
-        /** Operand lists (uses(), defs()); event core only. */
-        std::vector<RegId> srcs, dsts;
-    };
-    std::vector<std::vector<std::vector<StaticInst>>> _static;
-
-    const StaticInst &
-    staticOf(const InstRef &r) const
-    {
-        return _static[r.func][r.block][r.index];
-    }
-
-    /** Trace entry @p i of the dynamic task of @p in. */
-    const profile::TraceEntry &
-    entry(const Instance &in, uint32_t i) const
-    {
-        return _trace[in.task->begin + i];
-    }
 
     const TaskPartition &_part;
     const TaskStream &_tasks;
@@ -394,17 +361,16 @@ class Simulator
         auto &span = _storePcSpan[in.dynIdx];
         if (span.first == NOT_DONE) {
             size_t begin = _storePcPool.size();
-            for (const profile::TraceEntry &e :
-                 _tasks.insts(_tasks[in.dynIdx])) {
-                const StaticInst &si = staticOf(e.ref);
-                if (si.inst->isStore()) {
+            for (const auto &e : _tasks.insts(_tasks[in.dynIdx])) {
+                if (_part.prog->inst(e.ref).isStore()) {
+                    uint64_t pc = _part.prog->instAddr(e.ref);
                     auto it = std::lower_bound(
                         _storePcPool.begin() + ptrdiff_t(begin),
-                        _storePcPool.end(), std::make_pair(si.pc, 0));
-                    if (it != _storePcPool.end() && it->first == si.pc)
+                        _storePcPool.end(), std::make_pair(pc, 0));
+                    if (it != _storePcPool.end() && it->first == pc)
                         it->second++;
                     else
-                        _storePcPool.insert(it, {si.pc, 1});
+                        _storePcPool.insert(it, {pc, 1});
                 }
             }
             span = {begin, _storePcPool.size()};
@@ -453,6 +419,17 @@ class Simulator
     std::vector<std::unique_ptr<Instance>> _pool;
     /// @}
 
+    /**
+     * Per-static-instruction operand lists (srcs from uses(), dsts
+     * from defs()), decoded once at construction — event core only;
+     * the reference core keeps the seed's per-dispatch decode.
+     * Indexed [func][block][index] by InstRef.
+     */
+    struct Operands
+    {
+        std::vector<RegId> srcs, dsts;
+    };
+    std::vector<std::vector<std::vector<Operands>>> _operands;
 };
 
 template <bool EV>
@@ -610,17 +587,17 @@ Simulator<EV>::dispatchInsts(Instance &in)
             break;
 
         uint32_t i = in.dispatched;
-        const profile::TraceEntry &e = entry(in, i);
-        const StaticInst &si = staticOf(e.ref);
-        const Instruction &inst = *si.inst;
+        const profile::TraceEntry &e = _trace[in.task->begin + i];
+        const Instruction &inst = _part.prog->inst(e.ref);
+        uint64_t pc = _part.prog->instAddr(e.ref);
 
         // I-cache: one line lookup per new line.
-        uint64_t line = si.pc / _cfg.l1i.blockBytes;
+        uint64_t line = pc / _cfg.l1i.blockBytes;
         if (line != in.curFetchLine) {
             // The lookup itself mutates cache state (LRU, counters)
             // even when it blocks fetch, so it counts as progress.
             _progress = true;
-            uint64_t avail = _hier.fetchAccess(si.pc, _now);
+            uint64_t avail = _hier.fetchAccess(pc, _now);
             if (avail > _now + _cfg.l1i.hitLatency) {
                 in.icacheBlockedUntil = avail;
                 break;
@@ -631,13 +608,13 @@ Simulator<EV>::dispatchInsts(Instance &in)
         // Intra-task conditional branches consult gshare; a
         // misprediction stalls fetch until the branch executes.
         if (inst.isCondBranch()) {
-            bool pred = _gshare.predict(si.pc);
+            bool pred = _gshare.predict(pc);
             _stats.branchPredictions++;
             if (pred != e.taken) {
                 _stats.branchMispredictions++;
                 in.branchBlockedOn = int(i);
             }
-            _gshare.update(si.pc, e.taken);
+            _gshare.update(pc, e.taken);
         }
 
         // Dependence setup. The event core reads predecoded operand
@@ -647,8 +624,10 @@ Simulator<EV>::dispatchInsts(Instance &in)
         std::vector<RegId> srcsRef, dstsRef;
         const std::vector<RegId> *srcsP, *dstsP;
         if constexpr (EV) {
-            srcsP = &si.srcs;
-            dstsP = &si.dsts;
+            const Operands &ops =
+                _operands[e.ref.func][e.ref.block][e.ref.index];
+            srcsP = &ops.srcs;
+            dstsP = &ops.dsts;
         } else {
             inst.uses(srcsRef);
             inst.defs(dstsRef);
@@ -692,9 +671,8 @@ Simulator<EV>::tryIssue(Instance &in, uint32_t i,
                     std::array<unsigned, 5> &fu_free, bool &ext_wait,
                     bool &sync_wait)
 {
-    const profile::TraceEntry &e = entry(in, i);
-    const StaticInst &si = staticOf(e.ref);
-    const Instruction &inst = *si.inst;
+    const profile::TraceEntry &e = _trace[in.task->begin + i];
+    const Instruction &inst = _part.prog->inst(e.ref);
 
     if (in.slots[i].extMask) {
         ext_wait = true;
@@ -710,11 +688,12 @@ Simulator<EV>::tryIssue(Instance &in, uint32_t i,
     }
 
     bool is_head = (_window.front().get() == &in);
+    uint64_t pc = _part.prog->instAddr(e.ref);
     uint64_t wb;
 
     if (inst.isLoad()) {
         // Synchronization-table gating (Moshovos et al. [11]).
-        uint64_t producer_pc = _sync.producerOf(si.pc);
+        uint64_t producer_pc = _sync.producerOf(pc);
         if (producer_pc && !is_head) {
             for (auto &up : _window) {
                 Instance &older = *up;
@@ -744,7 +723,7 @@ Simulator<EV>::tryIssue(Instance &in, uint32_t i,
         }
         uint64_t avail = _hier.dataAccess(e.addr * 8, _now);
         wb = avail + _cfg.arbHitLatency;
-        _arb.recordLoad(in.dynIdx, e.addr, si.pc);
+        _arb.recordLoad(in.dynIdx, e.addr, pc);
     } else if (inst.isStore()) {
         if (!is_head && _arb.full() && !_arb.tracked(e.addr)) {
             _stats.arbOverflowStalls++;
@@ -758,9 +737,9 @@ Simulator<EV>::tryIssue(Instance &in, uint32_t i,
         auto hit = _arb.recordStore(in.dynIdx, e.addr);
         if (hit.victim != NO_TASK) {
             _stats.memViolations++;
-            _violations.push_back({hit.victim, hit.loadPc, si.pc});
+            _violations.push_back({hit.victim, hit.loadPc, pc});
         }
-        int *cnt = in.findStorePc(si.pc);
+        int *cnt = in.findStorePc(pc);
         if (cnt && *cnt > 0)
             (*cnt)--;
     } else {
@@ -805,8 +784,9 @@ Simulator<EV>::writebacks(Instance &in)
         // Safe forward points: send on the ring. Inside an included
         // callee nothing forwards; its values release at task end.
         uint64_t at = in.task->begin + i;
+        const InstRef &ref = _trace[at].ref;
         RegSet fwd = _tasks.inIncludedCallee(at)
-            ? 0 : staticOf(_trace[at].ref).fwdSafe;
+            ? 0 : _part.fwdSafe[ref.func][ref.block][ref.index];
         fwd &= in.createMask & ~in.forwardedRegs;
         for (unsigned r = 0; fwd && r < NUM_REGS; ++r) {
             if (fwd & cfg::regBit(RegId(r))) {

@@ -6,11 +6,8 @@
  * when control reaches a block owned by a different task or re-enters
  * a task entry. Calls marked for inclusion by the task-size heuristic
  * keep the current task open through the entire callee execution.
- *
- * A dynamic task is a [begin, end) range of the trace, not a copy of
- * it: the partitions of one program share one trace, and the timing
- * model looks an instruction's code address and forwarding mask up
- * per static instruction.
+ * A dynamic task is a range of the trace, not a copy, so the
+ * partitions of one program share one trace.
  */
 
 #pragma once
@@ -71,19 +68,13 @@ struct TaskStream
 
     std::vector<DynTask> tasks;
 
-    /**
-     * One bit per trace entry, set inside included callees: those
-     * instructions forward no register early (their values release
-     * at task end). Empty when the partition includes no call.
-     */
+    /** One bit per trace entry, set inside included callees, which
+     *  forward no register early. Empty when no call is included. */
     std::vector<bool> inCallee;
 
     size_t size() const { return tasks.size(); }
     bool empty() const { return tasks.empty(); }
     const DynTask &operator[](size_t i) const { return tasks[i]; }
-    const DynTask &back() const { return tasks.back(); }
-    auto begin() const { return tasks.begin(); }
-    auto end() const { return tasks.end(); }
 
     /** The instructions of @p t. */
     std::span<const profile::TraceEntry>

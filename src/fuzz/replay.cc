@@ -239,62 +239,48 @@ ReplayResult
 replayTaskStream(const Program &prog, const arch::TaskStream &tasks,
                  const tasksel::TaskPartition &part)
 {
-    Replayer r(prog);
-    auto structural = [&](const std::string &msg) {
-        ReplayResult res = r.finish();
-        res.ok = false;
+    auto structural = [](const std::string &msg) {
+        ReplayResult res;
         res.error = msg;
         return res;
     };
 
+    // The tasks must tile the trace: then their concatenation is the
+    // trace, which replayTrace checks record by record.
+    uint64_t next = 0;
     for (size_t ti = 0; ti < tasks.size(); ++ti) {
         const arch::DynTask &dt = tasks[ti];
+        std::string name = "dynamic task " + std::to_string(ti);
+        if (dt.begin != next || dt.end > tasks.trace->size())
+            return structural(name + " does not continue the stream");
+        next = dt.end;
         std::span<const profile::TraceEntry> insts = tasks.insts(dt);
         if (insts.empty())
-            return structural("dynamic task " + std::to_string(ti) +
-                              " is empty");
+            return structural(name + " is empty");
         if (dt.staticTask >= part.tasks.size())
-            return structural("dynamic task " + std::to_string(ti) +
-                              " has invalid static task id");
+            return structural(name + " has invalid static task id");
         const tasksel::Task &st = part.tasks[dt.staticTask];
 
         // Every dynamic task must begin at its static task's entry.
         const profile::TraceEntry &first = insts.front();
         if (first.ref.func != st.func || first.ref.block != st.entry ||
             first.ref.index != 0)
-            return structural("dynamic task " + std::to_string(ti) +
-                              " does not begin at its static entry");
+            return structural(name + " does not begin at its static entry");
 
         // At call depth zero, every executed block must belong to the
         // static task. Included calls run at depth > 0 inside other
         // functions; their blocks are exempt by construction.
         int depth = 0;
-        bool track = true;
         for (const profile::TraceEntry &e : insts) {
-            if (track && depth == 0 &&
+            if (depth == 0 &&
                 part.taskIdOf(e.ref.func, e.ref.block) != dt.staticTask)
-                return structural(
-                    "dynamic task " + std::to_string(ti) +
-                    " executes a block owned by another task");
-            const Instruction &in = prog.functions[e.ref.func]
-                .blocks[e.ref.block].insts[e.ref.index];
+                return structural(name +
+                                  " executes a block owned by another task");
+            const Instruction &in = prog.inst(e.ref);
             if (in.op == Opcode::Call)
                 ++depth;
-            else if (in.op == Opcode::Ret) {
-                if (depth == 0)
-                    track = false;  // Task ends past a Ret boundary.
-                else
-                    --depth;
-            }
-
-            if (!r.step(e)) {
-                bool is_last_record =
-                    ti + 1 == tasks.size() && &e == &insts.back();
-                if (r.halted() && !is_last_record)
-                    return structural("task stream continues past Halt");
-                if (!r.halted() || !is_last_record)
-                    return r.finish();
-            }
+            else if (in.op == Opcode::Ret && depth-- == 0)
+                break;  // Task ends past a Ret boundary.
         }
 
         // Successor linkage: the next dynamic task must begin where
@@ -305,13 +291,14 @@ replayTaskStream(const Program &prog, const arch::TaskStream &tasks,
             if (dt.nextEntry.func != nf.ref.func ||
                 dt.nextEntry.block != nf.ref.block)
                 return structural(
-                    "dynamic task " + std::to_string(ti) +
-                    " successor entry disagrees with next task");
+                    name + " successor entry disagrees with next task");
         } else if (!dt.last) {
             return structural("final dynamic task not marked last");
         }
     }
-    return r.finish();
+    if (!tasks.trace || next != tasks.trace->size())
+        return structural("task stream does not cover the trace");
+    return replayTrace(prog, *tasks.trace);
 }
 
 } // namespace fuzz

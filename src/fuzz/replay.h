@@ -18,7 +18,8 @@
  *
  * replayTrace() checks a raw interpreter trace (oracle C);
  * replayTaskStream() checks the dynamic task stream after partitioning
- * and cutting (oracle B) plus per-task structural invariants.
+ * and cutting (oracle B): per-task structural invariants, that the
+ * tasks' ranges tile their trace, and then the trace itself.
  */
 
 #pragma once
@@ -63,10 +64,10 @@ ReplayResult replayTrace(const ir::Program &prog,
 
 /**
  * Replays the concatenated dynamic task stream against @p prog
- * (oracle B). Also checks stream structure: tasks are non-empty, every
- * instruction belongs to its dynamic task's static task (included
- * calls excepted), and each non-final task's successor entry matches
- * where control actually went.
+ * (oracle B). Also checks stream structure: tasks are non-empty and
+ * tile the trace in order, every instruction belongs to its dynamic
+ * task's static task (included calls excepted), and each non-final
+ * task's successor entry matches where control actually went.
  */
 ReplayResult replayTaskStream(const ir::Program &prog,
                               const arch::TaskStream &tasks,

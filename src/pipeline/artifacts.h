@@ -62,8 +62,7 @@ struct PartitionArtifact
 /** Functional trace cut into the dynamic task stream a Multiscalar
  *  sequencer dispatches. Depends on the partition (task boundaries)
  *  and the trace budget — but not on arch::SimConfig, which is why
- *  hardware sweeps reuse it. The tasks are ranges of one trace that
- *  every partition of the same transformed program shares. */
+ *  hardware sweeps reuse it. Its tasks are ranges of a shared trace. */
 struct TaskTrace
 {
     uint64_t key = 0;

@@ -128,6 +128,18 @@ class KeyedCache
         }
     }
 
+    /** Publishes @p v under @p key unless the key is already present
+     *  or in flight; never blocks on, or inherits, another producer. */
+    void
+    putIfAbsent(uint64_t key, std::shared_ptr<const T> v)
+    {
+        auto slot = std::make_shared<Slot>();
+        slot->value = std::move(v);
+        slot->ready = true;
+        std::lock_guard<std::mutex> lock(_mu);
+        _slots.emplace(key, std::move(slot));
+    }
+
     size_t
     size() const
     {

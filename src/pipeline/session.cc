@@ -364,9 +364,8 @@ Session::profile(const StageOptions &o)
                         *tp->prog, o.profile.profileInsts, &gov,
                         stream.get(), o.trace.traceInsts);
                     if (stream)
-                        _streams.getOrCompute(
-                            streamKey(o), _streamCtr,
-                            [&] { return std::move(stream); });
+                        _streams.putIfAbsent(streamKey(o),
+                                             std::move(stream));
                     _disk.store(*pa);
                     return pa;
                 });
@@ -436,7 +435,7 @@ Session::trace(const StageOptions &o)
                     -> std::shared_ptr<const TaskTrace> {
                     const ir::Program &prog = *part->transformed->prog;
                     // Interprets only when no profile run of this
-                    // process recorded the stream (a profile loaded
+                    // Session recorded the stream (a profile loaded
                     // from disk, or traceInsts > profileInsts).
                     auto stream = _streams.getOrCompute(
                         streamKey(o), _streamCtr, [&] {

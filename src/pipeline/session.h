@@ -156,8 +156,7 @@ class Session
     std::shared_ptr<const SimArtifact>
     computeSimulate(const StageOptions &o, uint64_t key);
 
-    /** Key of the functional trace of the first traceInsts
-     *  instructions of the transformed program. */
+    /** Key of the trace of the first traceInsts instructions. */
     uint64_t streamKey(const StageOptions &o) const;
 
     std::shared_ptr<const ir::Program> _input;
@@ -170,9 +169,8 @@ class Session
     KeyedCache<TaskTrace> _traces;
     KeyedCache<SimArtifact> _sims;
 
-    /** Functional traces by streamKey: recorded by the profile run
-     *  (when traceInsts <= profileInsts) or by the first trace stage
-     *  that finds none. Not a stage, so not in CacheStats. */
+    /** Traces by streamKey, recorded by the profile run or the first
+     *  trace stage that finds none; not a stage, not in CacheStats. */
     KeyedCache<profile::Trace> _streams;
     AtomicStageCounters _streamCtr;
 

@@ -128,9 +128,7 @@ struct Profile
  *        retired instruction and pulse-checked for cancellation and
  *        deadlines (see runtime/budget.h).
  * @param stream when non-null, the same run also records its first
- *        @p stream_insts instructions into it, exactly as
- *        Interpreter::trace(stream_insts) would; its reservation is
- *        charged to @p gov's heap watermark.
+ *        @p stream_insts instructions, as Interpreter::trace would.
  */
 Profile profileProgram(const ir::Program &prog,
                        uint64_t max_insts = 50'000'000,

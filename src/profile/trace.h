@@ -4,9 +4,7 @@
  *
  * The functional interpreter emits one TraceEntry per retired
  * instruction; the Multiscalar timing model replays the stream,
- * cutting it into dynamic tasks per a TaskPartition. The pipeline
- * records the stream during the profile run, and every partition of
- * the same program cuts its tasks as ranges of that one stream.
+ * cutting it into dynamic tasks per a TaskPartition.
  */
 
 #pragma once

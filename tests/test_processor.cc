@@ -51,12 +51,12 @@ TEST(TaskStream, ConcatenationEqualsTrace)
     auto pr = prepare(test::makeDiamondProgram(16),
                       Strategy::ControlFlow);
     size_t total = 0;
-    for (const auto &t : pr.tasks)
+    for (const auto &t : pr.tasks.tasks)
         total += t.size();
     EXPECT_EQ(total, pr.trace->size());
     // Order preserved: each task's range starts where the last ended.
     uint64_t k = 0;
-    for (const auto &t : pr.tasks) {
+    for (const auto &t : pr.tasks.tasks) {
         EXPECT_EQ(t.begin, k);
         k = t.end;
     }
@@ -65,7 +65,7 @@ TEST(TaskStream, ConcatenationEqualsTrace)
 TEST(TaskStream, EveryTaskStartsAtItsEntry)
 {
     auto pr = prepare(test::makeLoopProgram(20), Strategy::ControlFlow);
-    for (const auto &t : pr.tasks) {
+    for (const auto &t : pr.tasks.tasks) {
         const Task &st = pr.part.tasks[t.staticTask];
         const ir::InstRef &first = pr.tasks.insts(t).front().ref;
         EXPECT_EQ(first.block, st.entry);
@@ -86,13 +86,13 @@ TEST(TaskStream, SuccessorTargetsResolve)
         EXPECT_EQ(t.nextEntry.block,
                   pr.part.tasks[pr.tasks[i + 1].staticTask].entry);
     }
-    EXPECT_TRUE(pr.tasks.back().last);
+    EXPECT_TRUE(pr.tasks.tasks.back().last);
 }
 
 TEST(TaskStream, BasicBlockTasksAreSingleBlocks)
 {
     auto pr = prepare(test::makeDiamondProgram(8), Strategy::BasicBlock);
-    for (const auto &t : pr.tasks) {
+    for (const auto &t : pr.tasks.tasks) {
         BlockId b = pr.tasks.insts(t).front().ref.block;
         for (const auto &di : pr.tasks.insts(t))
             EXPECT_EQ(di.ref.block, b);
@@ -112,7 +112,7 @@ TEST(TaskStream, IncludedCallStaysInCallerTask)
     for (uint64_t i = 0; i < pr.trace->size(); ++i)
         EXPECT_EQ(pr.tasks.inIncludedCallee(i),
                   (*pr.trace)[i].ref.func == callee->id) << i;
-    for (const auto &t : pr.tasks) {
+    for (const auto &t : pr.tasks.tasks) {
         bool has_callee = false;
         for (const auto &di : pr.tasks.insts(t))
             if (di.ref.func == callee->id)
@@ -131,7 +131,7 @@ TEST(TaskStream, NonIncludedCallSplitsTasks)
     const Function *callee = pr.prog.findFunction("twice");
     EXPECT_TRUE(pr.tasks.inCallee.empty());
     bool callee_task = false;
-    for (const auto &t : pr.tasks) {
+    for (const auto &t : pr.tasks.tasks) {
         if (pr.part.tasks[t.staticTask].func == callee->id) {
             callee_task = true;
             for (const auto &di : pr.tasks.insts(t))
@@ -141,7 +141,7 @@ TEST(TaskStream, NonIncludedCallSplitsTasks)
     EXPECT_TRUE(callee_task);
     // Call-ending tasks push a return site.
     bool saw_call_end = false;
-    for (const auto &t : pr.tasks)
+    for (const auto &t : pr.tasks.tasks)
         if (t.endsInCall) {
             saw_call_end = true;
             EXPECT_TRUE(t.callReturnSite.valid());

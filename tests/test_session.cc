@@ -20,13 +20,15 @@
  *  - one interpreter run per program: the strategies' TaskTraces are
  *    ranges of one shared stream, recorded by the profile run (or,
  *    after a disk-loaded profile, by the first trace stage), without
- *    moving any stage counter.
+ *    moving any stage counter; KeyedCache::putIfAbsent, which publishes
+ *    the profile run's stream, never waits on another producer.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <thread>
 
 #include "helpers.h"
@@ -449,6 +451,36 @@ TEST(SessionStream, DiskLoadedProfileStillSharesOneStream)
     expectIndependentTrace(*tts[0]->partition->transformed->prog,
                            *tts[0]->tasks.trace, o.trace.traceInsts);
     std::filesystem::remove_all(dir);
+}
+
+TEST(KeyedCache, PutIfAbsentKeepsTheFirstValueAndNeverWaits)
+{
+    pipeline::KeyedCache<int> cache;
+    pipeline::AtomicStageCounters ctr;
+    auto value = [&](uint64_t key) {
+        return *cache.getOrCompute(key, ctr,
+                                   [] { return std::make_shared<int>(0); });
+    };
+    cache.putIfAbsent(1, std::make_shared<int>(10));
+    cache.putIfAbsent(1, std::make_shared<int>(11));
+    EXPECT_EQ(value(1), 10);
+
+    // A key in flight keeps its producer's value, and the put returns
+    // without waiting for that producer.
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+    std::thread producer([&] {
+        cache.getOrCompute(2, ctr, [&] {
+            gate.wait();
+            return std::make_shared<int>(20);
+        });
+    });
+    while (cache.size() < 2)
+        std::this_thread::yield();
+    cache.putIfAbsent(2, std::make_shared<int>(21));
+    release.set_value();
+    producer.join();
+    EXPECT_EQ(value(2), 20);
 }
 
 // ------------------------------------------ artifacts outlive the Session
