@@ -19,7 +19,8 @@
 namespace msc {
 namespace profile {
 
-/** One dynamically executed instruction (24 bytes). */
+/** One dynamically executed instruction; this field order packs it
+ *  into 24 bytes. */
 struct TraceEntry
 {
     ir::InstRef ref;        ///< Static instruction identity.
